@@ -46,8 +46,8 @@ class AccountantLedger:
     def append(self, q: float, sigma: float, steps: int = 1) -> None:
         if not 0.0 < q <= 1.0:
             raise ValueError("sampling ratio must be in (0, 1]")
-        if sigma <= 0.0:
-            raise ValueError("noise multiplier must be positive to account")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("noise multiplier must be positive and finite to account")
         if steps < 1:
             raise ValueError("steps must be positive")
         if self.records and self.records[-1].q == q and self.records[-1].sigma == sigma:
@@ -186,8 +186,10 @@ def calibrate_noise(target_epsilon: float, delta: float, q: float,
     Bisects on sigma = k/100 using monotonicity of epsilon in sigma;
     raises if even sigma = 1e6 cannot reach the target.
     """
-    if target_epsilon <= 0:
-        raise ValueError("target epsilon must be positive")
+    if not 0 < target_epsilon < math.inf:
+        raise ValueError("target epsilon must be positive and finite")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
     if steps < 1:
         raise ValueError("steps must be positive")
 

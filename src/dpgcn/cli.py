@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on dataset errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -75,8 +76,8 @@ def _cmd_run(args) -> int:
 def _cmd_account(args) -> int:
     if not 0.0 < args.q <= 1.0:
         raise ConfigError("q must be in (0, 1]")
-    if args.sigma <= 0 or args.steps < 1 or not 0.0 < args.delta < 1.0:
-        raise ConfigError("need sigma > 0, steps >= 1, delta in (0, 1)")
+    if not 0 < args.sigma < math.inf or args.steps < 1 or not 0.0 < args.delta < 1.0:
+        raise ConfigError("need finite sigma > 0, steps >= 1, delta in (0, 1)")
     ledger = AccountantLedger()
     ledger.append(args.q, args.sigma, args.steps)
     eps, order = privacy_spent(ledger, args.delta)

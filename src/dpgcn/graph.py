@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,16 +31,21 @@ class SparseGraph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Weighted CSR of D^-1/2 (A + I) D^-1/2, self-loops included."""
+    """Weighted CSR of D^-1/2 (A + I) D^-1/2, self-loops included.
+
+    ``matrix`` is the same CSR for scipy, built once and reused by spmm.
+    """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
+    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.weights, self.indices, self.indptr),
-                             shape=(self.num_nodes, self.num_nodes))
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", sp.csr_matrix(
+            (self.weights, self.indices, self.indptr),
+            shape=(self.num_nodes, self.num_nodes)))
 
 
 def build_graph(num_nodes: int, edges) -> SparseGraph:
@@ -92,7 +97,7 @@ def spmm(adj: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
     if dense.shape[0] != adj.num_nodes:
         raise ValueError(f"dense operand has {dense.shape[0]} rows, "
                          f"graph has {adj.num_nodes} nodes")
-    return np.asarray(adj.to_scipy() @ dense)
+    return np.asarray(adj.matrix @ dense)
 
 
 @dataclass(frozen=True)

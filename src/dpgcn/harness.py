@@ -1,9 +1,11 @@
-"""Experiment driver: full-graph and split training, with or without DP.
+"""Experiment driver: every kind trains on a list of examples.
 
-Three kinds. A: ordinary full-graph training. B: full-graph DP training,
-where the single graph is the lot (q = 1). C: split training, where the
-graph is cut into s induced subgraphs treated as examples; DP variants
-sample lots of subgraphs, non-DP variants sweep them as minibatches.
+An example is a graph, its features and labels, and a mask of the nodes
+whose loss counts. Kinds A (non-private) and B (DP, q = 1) have one: the
+full graph with the training nodes as mask. Kind C has s, the disjoint
+induced subgraphs of a random split of the training nodes. Non-DP
+training sweeps the examples in random order, one step each; DP training
+samples lots of lot_size examples, one noised step per lot.
 """
 
 from __future__ import annotations
@@ -87,25 +89,25 @@ class ExperimentConfig:
         if cfg.is_dp:
             if (cfg.sigma is None) == (cfg.target_epsilon is None):
                 raise ConfigError("DP runs need exactly one of sigma, target_epsilon")
-            if cfg.sigma is not None and cfg.sigma <= 0:
-                raise ConfigError("sigma must be positive")
-            if cfg.target_epsilon is not None and cfg.target_epsilon <= 0:
-                raise ConfigError("target_epsilon must be positive")
+            if cfg.sigma is not None and not 0 < cfg.sigma < math.inf:
+                raise ConfigError("sigma must be positive and finite")
+            if cfg.target_epsilon is not None and not 0 < cfg.target_epsilon < math.inf:
+                raise ConfigError("target_epsilon must be positive and finite")
         elif cfg.sigma is not None or cfg.target_epsilon is not None:
             raise ConfigError("sigma/target_epsilon only apply to DP optimizers")
-        if cfg.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < cfg.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
         if cfg.max_epochs < 1 or cfg.patience < 1 or cfg.hidden < 1:
             raise ConfigError("max_epochs, patience, hidden must be positive")
         if not 0.0 <= cfg.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if cfg.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive")
+        if not 0 < cfg.clip_norm < math.inf:
+            raise ConfigError("clip_norm must be positive and finite")
         if not 0.0 < cfg.train_fraction <= 1.0:
             raise ConfigError("train_fraction must be in (0, 1]")
         if not 1 <= cfg.lot_size <= cfg.s:
             raise ConfigError("lot_size must be in [1, s]")
-        if cfg.delta <= 0 or cfg.delta >= 1:
+        if not 0 < cfg.delta < 1:
             raise ConfigError("delta must be in (0, 1)")
         if not cfg.seeds:
             raise ConfigError("need at least one seed")
@@ -113,9 +115,7 @@ class ExperimentConfig:
 
     @property
     def steps_per_epoch(self) -> int:
-        if self.kind == "C" and self.is_dp:
-            return max(1, self.s // (self.lot_size or self.s))
-        return 1
+        return max(1, self.s // (self.lot_size or self.s)) if self.is_dp else 1
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -217,7 +217,7 @@ def _require_finite(value: float, what: str, epoch: int) -> None:
 
 
 class _Trainer:
-    """One seed's training state; split out so kinds share the loop."""
+    """One seed's training state; every kind trains on ``self.examples``."""
 
     def __init__(self, dataset: Dataset, cfg: ExperimentConfig, seed: int,
                  sigma: float | None):
@@ -236,8 +236,9 @@ class _Trainer:
             if cfg.optimizer.startswith("adam") else None
         self.noise = DpNoiseSpec(cfg.clip_norm, sigma or 0.0) if cfg.is_dp else None
         self.ledger = AccountantLedger()
-        if cfg.kind == "C":
-            self._prepare_subgraphs()
+        # (adjacency, features, labels, mask) per example
+        self.examples = self._subgraph_examples() if cfg.kind == "C" else \
+            [(self.adj, dataset.features, dataset.labels, self.train_nodes)]
 
     def _training_nodes(self) -> np.ndarray:
         nodes = self.ds.train_nodes
@@ -249,9 +250,9 @@ class _Trainer:
             raise ConfigError("no training nodes")
         return nodes
 
-    def _prepare_subgraphs(self) -> None:
+    def _subgraph_examples(self) -> list:
         part = random_partition(self.train_nodes, self.cfg.s, self.rng_part)
-        self.subs = []
+        examples = []
         seen = np.zeros(self.ds.num_nodes, dtype=bool)
         for k in range(self.cfg.s):
             sub = mask_subgraph(self.ds.graph, self.ds.features,
@@ -262,23 +263,12 @@ class _Trainer:
             # every stored edge must stay inside the subgraph's node set
             if sub.graph.indices.size and sub.graph.indices.max() >= sub.node_ids.size:
                 raise AssertionError("cross-subgraph edge survived masking")
-            self.subs.append((normalize_adjacency(sub.graph), sub.features,
-                              sub.labels, np.arange(sub.node_ids.size)))
+            examples.append((normalize_adjacency(sub.graph), sub.features,
+                             sub.labels, np.arange(sub.node_ids.size)))
+        return examples
 
-    def _full_gradient(self, epoch: int) -> np.ndarray:
-        trace = forward(self.params, self.adj, self.ds.features,
-                        self.cfg.dropout, training=True, rng=self.rng_drop)
-        loss = masked_cross_entropy(trace.logits, self.ds.labels, self.train_nodes)
-        _require_finite(loss, "loss", epoch)
-        self.last_loss = loss
-        grad = backward(self.params, trace, self.adj, self.ds.features,
-                        self.ds.labels, self.train_nodes)
-        if not np.isfinite(grad).all():
-            raise TrainingDiverged(f"non-finite gradient at epoch {epoch}")
-        return grad
-
-    def _subgraph_gradient(self, k: int, epoch: int) -> np.ndarray:
-        adj, feats, labels, mask = self.subs[k]
+    def _gradient(self, k: int, epoch: int) -> np.ndarray:
+        adj, feats, labels, mask = self.examples[k]
         trace = forward(self.params, adj, feats, self.cfg.dropout,
                         training=True, rng=self.rng_drop)
         loss = masked_cross_entropy(trace.logits, labels, mask)
@@ -296,25 +286,17 @@ class _Trainer:
             sgd_step(self.params, grad, self.cfg.lr)
 
     def run_epoch(self, epoch: int) -> None:
-        cfg = self.cfg
-        if cfg.kind in ("A", "B"):
-            grad = self._full_gradient(epoch)
-            if cfg.is_dp:
-                grad = noisy_lot_gradient([grad], self.noise, self.rng_noise)
-                self.ledger.append(1.0, self.noise.noise_multiplier)
+        cfg, n = self.cfg, len(self.examples)
+        if not cfg.is_dp:
+            for k in self.rng_lot.permutation(n):
+                self._step(self._gradient(int(k), epoch))
+            return
+        for _ in range(cfg.steps_per_epoch):
+            lot = sample_lot(n, cfg.lot_size, self.rng_lot)
+            grads = [self._gradient(int(k), epoch) for k in lot.example_ids]
+            grad = noisy_lot_gradient(grads, self.noise, self.rng_noise)
+            self.ledger.append(lot.sampling_ratio, self.noise.noise_multiplier)
             self._step(grad)
-        elif not cfg.is_dp:
-            for k in self.rng_lot.permutation(cfg.s):
-                self._step(self._subgraph_gradient(int(k), epoch))
-        else:
-            q = cfg.lot_size / cfg.s
-            for _ in range(cfg.steps_per_epoch):
-                lot = sample_lot(cfg.s, cfg.lot_size, self.rng_lot)
-                grads = [self._subgraph_gradient(int(k), epoch)
-                         for k in lot.example_ids]
-                grad = noisy_lot_gradient(grads, self.noise, self.rng_noise)
-                self.ledger.append(q, self.noise.noise_multiplier)
-                self._step(grad)
 
     def val_score(self) -> float:
         return evaluate(self.params, self.adj, self.ds.features,
@@ -360,8 +342,7 @@ def resolve_sigma(cfg: ExperimentConfig) -> float | None:
         return None
     if cfg.sigma is not None:
         return cfg.sigma
-    q = cfg.lot_size / cfg.s if cfg.kind == "C" else 1.0
-    return calibrate_noise(cfg.target_epsilon, cfg.delta, q,
+    return calibrate_noise(cfg.target_epsilon, cfg.delta, cfg.lot_size / cfg.s,
                            cfg.max_epochs * cfg.steps_per_epoch)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,10 @@ def test_ledger_validation():
         led.append(q=0.5, sigma=0.0)
     with pytest.raises(ValueError):
         led.append(q=0.5, sigma=1.0, steps=0)
+    for q, sigma in ((0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            led.append(q=q, sigma=sigma)
+    assert led.records == []
     with pytest.raises(ValueError):
         AccountantLedger(moment_orders=())
     with pytest.raises(ValueError):
@@ -276,6 +282,10 @@ def test_calibrate_validation():
         calibrate_noise(2.0, 1e-5, 0.0, 100)
     with pytest.raises(ValueError):
         calibrate_noise(2.0, 1e-5, 1.0, 0)
+    for target, delta in ((math.nan, 1e-5), (math.inf, 1e-5), (2.0, math.nan),
+                          (2.0, 0.0), (2.0, 1.0)):
+        with pytest.raises(ValueError):
+            calibrate_noise(target, delta, 1.0, 10)
 
 
 # ---- monotonicity properties ----

@@ -136,6 +136,13 @@ def test_account_rejects_bad_q(capsys):
                  "--steps", "10"]) == 2
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_account_rejects_non_finite_sigma(capsys, sigma):
+    assert main(["account", "--q", "0.5", "--sigma", sigma,
+                 "--steps", "10"]) == 2
+    assert "epsilon" not in capsys.readouterr().out
+
+
 def test_split_outputs_loadable_disjoint_pieces(synth_dir, tmp_path):
     out = tmp_path / "splits"
     assert main(["split", "--dataset", str(synth_dir), "--s", "3",

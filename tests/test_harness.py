@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dpgcn.harness as harness_mod
 from dpgcn.accounting import AccountantLedger, calibrate_noise, privacy_spent
@@ -119,6 +120,14 @@ def test_finalized_lot_size_defaults_to_s():
     dict(kind="C", optimizer="adam-dp", s=4, lot_size=0, sigma=2.0),
     dict(delta=1.0),
     dict(seeds=()),
+    dict(kind="B", optimizer="adam-dp", target_epsilon=float("nan")),
+    dict(kind="B", optimizer="adam-dp", target_epsilon=float("inf")),
+    dict(kind="B", optimizer="adam-dp", sigma=float("inf")),
+    dict(kind="B", optimizer="adam-dp", sigma=float("nan")),
+    dict(delta=float("nan")),
+    dict(clip_norm=float("inf")),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
 ])
 def test_finalized_rejects_inconsistent(kw):
     with pytest.raises(ConfigError):
@@ -403,6 +412,30 @@ def test_trainer_ledger_counts_noise_steps(sbm):
     # two lots of 2 subgraphs per epoch, each lot one noise draw
     assert trainer_c.ledger.total_steps == 4
     assert trainer_c.ledger.records[0].q == 0.5
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="A", optimizer="adam"),
+    dict(kind="B", optimizer="sgd-dp", sigma=2.0),
+    dict(kind="C", optimizer="adam", s=4),
+    dict(kind="C", optimizer="adam-dp", s=4, lot_size=2, sigma=2.0),
+])
+def test_training_builds_no_sparse_matrix(sbm, monkeypatch, kw):
+    # every adjacency is built with the trainer, none per step
+    cfg = ExperimentConfig(max_epochs=10, seeds=(0,), **kw).finalized()
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=cfg.sigma)
+    built = []
+
+    class CountingCsr(sp.csr_matrix):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "csr_matrix", CountingCsr)
+    for epoch in range(1, 4):
+        trainer.run_epoch(epoch)
+    trainer.val_score()
+    assert built == []
 
 
 def test_trainer_non_dp_keeps_empty_ledger(sbm):
