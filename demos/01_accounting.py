@@ -20,7 +20,7 @@ for lam in (1, 2, 8, 32):
           f"{gaussian_log_moment(sigma, lam):.6f}")
 
 # Subsampling a fraction q < 1 of the data each step shrinks the moment;
-# the accountant evaluates it by numerical quadrature.
+# at integer orders the accountant sums its exact binomial expansion.
 print()
 for q in (1.0, 0.5, 0.1, 0.01):
     print(f"q = {q:<5}: log moment (order 8) = {log_moment(q, sigma, 8):.3e}")

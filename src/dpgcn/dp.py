@@ -7,6 +7,7 @@ before any optimizer state, so Adam's moments only ever see noised sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,10 @@ class DpNoiseSpec:
     noise_multiplier: float = 0.0  # sigma, in units of the clip norm
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise multiplier must be nonnegative")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip norm must be positive and finite")
+        if not 0 <= self.noise_multiplier < math.inf:
+            raise ValueError("noise multiplier must be nonnegative and finite")
 
     @property
     def noise_std(self) -> float:
@@ -33,8 +34,8 @@ class DpNoiseSpec:
 
 def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     """Rescale grad to l2 norm at most clip_norm: g / max(1, |g|/C)."""
-    if clip_norm <= 0:
-        raise ValueError("clip norm must be positive")
+    if not 0 < clip_norm < math.inf:
+        raise ValueError("clip norm must be positive and finite")
     grad = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")

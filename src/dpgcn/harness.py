@@ -79,11 +79,11 @@ class ExperimentConfig:
         )
         if cfg.kind == "A" and cfg.is_dp:
             raise ConfigError("kind A is non-private; use sgd or adam")
-        if cfg.kind == "B":
-            if not cfg.is_dp:
-                raise ConfigError("kind B needs a DP optimizer")
-            if cfg.s != 1:
-                raise ConfigError("kind B trains on the full graph; s must be 1")
+        if cfg.kind == "B" and not cfg.is_dp:
+            raise ConfigError("kind B needs a DP optimizer")
+        if cfg.kind != "C" and (cfg.s != 1 or cfg.lot_size != 1):
+            raise ConfigError(f"kind {cfg.kind} trains on the full graph; "
+                              "s and lot_size must be 1")
         if cfg.kind == "C" and cfg.s < 2:
             raise ConfigError("kind C needs s >= 2 subgraphs")
         if cfg.is_dp:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +105,60 @@ def test_amplification_at_sample_points():
             for lam in (1, 4, 16):
                 assert log_moment(q, sigma, lam) <= gaussian_log_moment(
                     sigma, lam) * (1 + 1e-12)
+
+
+# the closed form at points where the old scipy quadrature was least
+# accurate; mpmath evaluates the same binomial expansion at 50 digits
+EXPANSION_POINTS = [(1e-3, 76.24, 1), (1e-6, 68.9, 1), (0.5, 6.0, 64),
+                    (0.999, 0.8, 32)]
+
+
+@pytest.mark.parametrize("q,sigma,lam", EXPANSION_POINTS)
+def test_closed_form_against_50_digit_expansion(q, sigma, lam):
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        q_, s2, a = mp.mpf(q), mp.mpf(sigma) ** 2, lam + 1
+        total = mp.fsum(mp.binomial(a, k) * (1 - q_) ** (a - k) * q_ ** k
+                        * mp.expm1(mp.mpf(k * k - k) / (2 * s2))
+                        for k in range(2, a + 1))
+        want = float(mp.log1p(total))
+    assert want > 0.0
+    assert subsampled_log_moment(q, sigma, lam) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 1e6])
+def test_closed_form_finite_at_extreme_sigma(sigma):
+    got = subsampled_log_moment(0.3, sigma, 64)
+    assert math.isfinite(got) and got >= 0.0
+
+
+@given(q=st.floats(1e-6, 1.0), sigma=st.floats(0.5, 200.0),
+       lam=st.integers(1, 63), q_factor=st.floats(1.0, 10.0),
+       sigma_factor=st.floats(1.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_monotone_and_amplified(q, sigma, lam, q_factor,
+                                            sigma_factor):
+    tol = 1e-12
+    got = subsampled_log_moment(q, sigma, lam)
+    assert subsampled_log_moment(min(q * q_factor, 1.0), sigma, lam) >= got * (1 - tol)
+    assert subsampled_log_moment(q, sigma, lam + 1) >= got * (1 - tol)
+    assert subsampled_log_moment(q, sigma * sigma_factor, lam) <= got * (1 + tol)
+    assert got <= gaussian_log_moment(sigma, lam) * (1 + tol)
+
+
+def test_import_loads_no_quadrature_or_special_functions():
+    # both add import time and memory to every process, and the closed
+    # form needs neither
+    code = ("import sys, dpgcn, dpgcn.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---- ledger / compose ----

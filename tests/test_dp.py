@@ -143,6 +143,24 @@ def test_spec_validation():
     assert DpNoiseSpec(clip_norm=2.0, noise_multiplier=3.0).noise_std == 6.0
 
 
+@pytest.mark.parametrize("kw", [
+    dict(clip_norm=float("nan")),
+    dict(clip_norm=float("inf")),
+    dict(noise_multiplier=float("nan")),
+    dict(noise_multiplier=float("inf")),
+])
+def test_spec_rejects_non_finite(kw):
+    with pytest.raises(ValueError):
+        DpNoiseSpec(**kw)
+
+
+@pytest.mark.parametrize("clip_norm", [float("nan"), float("inf"), 0.0, -1.0])
+def test_clip_rejects_bad_clip_norm(clip_norm):
+    # a NaN bound compares false everywhere and used to return g unclipped
+    with pytest.raises(ValueError):
+        clip_gradient(np.array([30.0, 40.0]), clip_norm)
+
+
 # ---- sgd_step (mutates params in place) ----
 
 def test_sgd_zero_gradient_no_change():

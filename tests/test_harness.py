@@ -128,6 +128,10 @@ def test_finalized_lot_size_defaults_to_s():
     dict(clip_norm=float("inf")),
     dict(lr=float("nan")),
     dict(lr=float("inf")),
+    dict(kind="A", optimizer="adam", s=5, lot_size=3),         # kind A is full-graph
+    dict(kind="A", optimizer="adam", s=5),
+    dict(kind="A", optimizer="sgd", s=2, lot_size=1),
+    dict(kind="A", optimizer="adam", lot_size=2),
 ])
 def test_finalized_rejects_inconsistent(kw):
     with pytest.raises(ConfigError):
