@@ -61,8 +61,8 @@ class AccountantLedger:
 
 def gaussian_log_moment(sigma: float, lam: float) -> float:
     """Closed-form log moment at q = 1: lam (lam + 1) / (2 sigma^2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     return lam * (lam + 1.0) / (2.0 * sigma * sigma)
 
 
@@ -79,8 +79,8 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("sampling ratio must be in (0, 1]")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     a = int(lam) + 1
     log_fact = np.array([math.lgamma(n + 1.0) for n in range(a + 1)])
     k = np.arange(2, a + 1)

@@ -16,8 +16,14 @@ from .accounting import AccountantLedger, privacy_spent
 from .data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .graph import mask_subgraph, random_partition
-from .harness import ConfigError, emit_results, load_config, run_experiment
+from .harness import (ConfigError, emit_results, load_config, parse_key_values,
+                      run_experiment)
 from .rng import STREAM_PARTITION, Prng
+
+_SPEC_PARSERS = {
+    "block_sizes": lambda value: tuple(int(tok) for tok in value.split(",")),
+    "p_intra": float, "p_inter": float, "feature_dim": int,
+    "feature_shift": float, "seed": int, "name": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,32 +121,12 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec_values = {}
     with open(args.spec, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key=value, got '{raw.strip()}'")
-            key, _, value = (tok.strip() for tok in line.partition("="))
-            spec_values[key] = value
+        values = parse_key_values(fh.read(), _SPEC_PARSERS)
     try:
-        spec = SynthSpec(
-            block_sizes=tuple(int(tok) for tok in
-                              spec_values.pop("block_sizes").split(",")),
-            p_intra=float(spec_values.pop("p_intra")),
-            p_inter=float(spec_values.pop("p_inter")),
-            feature_dim=int(spec_values.pop("feature_dim")),
-            feature_shift=float(spec_values.pop("feature_shift", 1.0)),
-            seed=int(spec_values.pop("seed", 0)),
-            name=spec_values.pop("name", "synth"))
-    except KeyError as exc:
-        raise ConfigError(f"synth spec missing key {exc}") from exc
-    except ValueError as exc:
+        spec = SynthSpec(**values)
+    except (TypeError, ValueError) as exc:  # a missing key, or SynthSpec's checks
         raise ConfigError(f"bad synth spec: {exc}") from exc
-    if spec_values:
-        raise ConfigError(f"unknown synth spec keys: {sorted(spec_values)}")
     save_dataset(generate_synthetic(spec), args.out)
     print(f"wrote synthetic dataset to {args.out}")
     return 0
@@ -159,11 +145,15 @@ def main(argv=None) -> int:
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        # a missing config/spec file is a config error; datasets raise above
+    except (OSError, UnicodeDecodeError) as exc:
+        # an unreadable config or spec file; datasets raise DatasetError above
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -17,7 +17,7 @@ import numpy as np
 from .graph import SparseGraph, build_graph
 from .rng import STREAM_SYNTH, Prng
 
-_MASK_TOKENS = ("train", "val", "test")
+_MASK_IDS = {"train": 0, "val": 1, "test": 2}
 
 
 class DatasetError(ValueError):
@@ -74,91 +74,89 @@ class Dataset:
         return self
 
 
-def _read_lines(path: str, kind: str) -> list[str]:
-    if not os.path.exists(path):
-        raise DatasetError("missing-file", f"{kind} file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+def _read_rows(path: str, types: tuple) -> np.ndarray:
+    """Nonblank lines split on tabs (commas in a .csv), one column per type."""
+    name = os.path.basename(path)
+    if not os.path.isfile(path):
+        raise DatasetError("missing-file", f"{name} not found: {path}")
+    sep = "," if name.endswith(".csv") else "\t"
+    rows = []
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, 1):
+            try:
+                row = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError("bad-row", f"{name}:{line}: {exc}") from None
+            if not row.strip():
+                continue
+            cells = row.rstrip("\r\n").split(sep)
+            if len(cells) != len(types):
+                raise DatasetError("shape-mismatch", f"{name}:{line}: "
+                                   f"{len(cells)} columns, expected {len(types)}")
+            try:
+                rows.append([t(c) for t, c in zip(types, cells)])
+            except ValueError as exc:
+                raise DatasetError("bad-row", f"{name}:{line}: {exc}") from None
+    try:
+        out = np.array(rows, np.float64 if float in types else np.int64)
+    except OverflowError:  # integers past int64 fail the callers' range checks
+        out = np.array(rows, object)
+    return out.reshape(len(rows), len(types))
 
 
 def load_dataset(path: str) -> Dataset:
     """Read and validate a dataset directory; fails loudly on inconsistency."""
     meta_path = os.path.join(path, "meta.json")
-    if not os.path.exists(meta_path):
+    if not os.path.isfile(meta_path):
         raise DatasetError("missing-file", f"meta.json not found in {path}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    for key in ("name", "num_nodes", "num_classes", "feature_dim", "feature_kind"):
-        if key not in meta:
-            raise DatasetError("bad-meta", f"meta.json missing '{key}'")
-    n, d, k = int(meta["num_nodes"]), int(meta["feature_dim"]), int(meta["num_classes"])
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DatasetError("bad-meta", f"meta.json: {exc}") from None
+    keys = ("name", "num_nodes", "num_classes", "feature_dim", "feature_kind")
+    if not isinstance(meta, dict) or not meta.keys() >= set(keys):
+        raise DatasetError("bad-meta", f"meta.json must be an object with {keys}")
+    n, d, k = meta["num_nodes"], meta["feature_dim"], meta["num_classes"]
+    if not all(type(v) is int and v >= 0 for v in (n, d, k)):
+        raise DatasetError("bad-meta", "num_nodes, feature_dim and num_classes "
+                           "must be non-negative integers")
     kind = meta["feature_kind"]
     if kind not in ("dense", "sparse"):
         raise DatasetError("bad-meta", f"unknown feature_kind '{kind}'")
 
-    edges = []
-    prev = None
-    for line in _read_lines(os.path.join(path, "edges.tsv"), "edges"):
-        i, j = (int(tok) for tok in line.split("\t"))
-        if not 0 <= i < j < n:
-            raise DatasetError("index-out-of-range",
-                               f"edge ({i}, {j}) violates 0 <= i < j < n")
-        if prev is not None and (i, j) <= prev:
-            raise DatasetError("bad-edge-order", "edges must be sorted, unique")
-        prev = (i, j)
-        edges.append((i, j))
+    edges = _read_rows(os.path.join(path, "edges.tsv"), (int, int))
+    i, j = edges.T
+    if ((i < 0) | (i >= j) | (j >= n)).any():
+        raise DatasetError("index-out-of-range", "an edge violates 0 <= i < j < n")
+    if (np.diff(i * n + j) <= 0).any():
+        raise DatasetError("bad-edge-order", "edges must be sorted, unique")
 
     if kind == "dense":
-        rows = _read_lines(os.path.join(path, "features.csv"), "features")
-        if len(rows) != n:
-            raise DatasetError("shape-mismatch",
-                               f"expected {n} feature rows, got {len(rows)}")
-        features = np.array([[float(v) for v in row.split(",")] for row in rows])
-        if features.shape != (n, d):
-            raise DatasetError("shape-mismatch", "feature row width mismatch")
+        features = _read_rows(os.path.join(path, "features.csv"), (float,) * d)
     else:
+        triplets = _read_rows(os.path.join(path, "features.tsv"), (int, int, float))
+        node, dim, value = triplets.T
+        if ((node < 0) | (node >= n) | (dim < 0) | (dim >= d)).any():
+            raise DatasetError("index-out-of-range", "feature triplet out of range")
         features = np.zeros((n, d))
-        for line in _read_lines(os.path.join(path, "features.tsv"), "features"):
-            node, dim, value = line.split("\t")
-            node, dim = int(node), int(dim)
-            if not (0 <= node < n and 0 <= dim < d):
-                raise DatasetError("index-out-of-range",
-                                   f"feature triplet ({node}, {dim}) out of range")
-            features[node, dim] = float(value)
-    if not np.isfinite(features).all():
-        raise DatasetError("non-finite-feature", "features must be finite")
+        features[node.astype(np.int64), dim.astype(np.int64)] = value
 
+    node, cls = _read_rows(os.path.join(path, "labels.tsv"), (int, int)).T
+    if ((node < 0) | (node >= n)).any():
+        raise DatasetError("index-out-of-range", "a label's node is out of range")
+    if ((cls < 0) | (cls >= k)).any():
+        raise DatasetError("label-out-of-range", "class outside [0, num_classes)")
     labels = np.full(n, -1, dtype=np.int64)
-    for line in _read_lines(os.path.join(path, "labels.tsv"), "labels"):
-        node, cls = (int(tok) for tok in line.split("\t"))
-        if not 0 <= node < n:
-            raise DatasetError("index-out-of-range", f"label node {node}")
-        if not 0 <= cls < k:
-            raise DatasetError("label-out-of-range", f"class {cls} for node {node}")
-        labels[node] = cls
+    labels[node] = cls
 
-    mask_of: dict[int, str] = {}
-    for line in _read_lines(os.path.join(path, "masks.tsv"), "masks"):
-        node, token = line.split("\t")
-        node = int(node)
-        if not 0 <= node < n:
-            raise DatasetError("index-out-of-range", f"mask node {node}")
-        if token not in _MASK_TOKENS:
-            raise DatasetError("bad-mask-token", f"unknown mask '{token}'")
-        if node in mask_of:
-            raise DatasetError("overlapping-masks", f"node {node} masked twice")
-        mask_of[node] = token
-
-    def nodes_of(token):
-        return np.array(sorted(i for i, t in mask_of.items() if t == token),
-                        dtype=np.int64)
-
-    try:
-        graph = build_graph(n, edges)
-    except ValueError as exc:
-        raise DatasetError("bad-edge", str(exc)) from exc
-    return Dataset(meta["name"], graph, features, labels, nodes_of("train"),
-                   nodes_of("val"), nodes_of("test"), k, kind).validate()
+    masks = _read_rows(os.path.join(path, "masks.tsv"),
+                       (int, lambda tok: _MASK_IDS.get(tok, -1)))
+    if (masks[:, 1] < 0).any():
+        raise DatasetError("bad-mask-token", "masks must be train, val or test")
+    train, val, test = (np.sort(masks[masks[:, 1] == m, 0]) for m in range(3))
+    return Dataset(meta["name"], build_graph(n, edges), features, labels,
+                   train, val, test, k, kind).validate()
 
 
 def save_dataset(ds: Dataset, path: str) -> None:

@@ -124,11 +124,20 @@ class ExperimentConfig:
 
 
 _BOOL_TOKENS = {"on": True, "off": False, "true": True, "false": False}
+_CONFIG_PARSERS = {f.name: float for f in fields(ExperimentConfig)} | {
+    "dataset": str, "kind": str, "optimizer": str,
+    "early_stopping": lambda value: _BOOL_TOKENS[value.lower()],
+    "seeds": lambda value: tuple(int(tok) for tok in value.split(",")),
+    "max_epochs": int, "patience": int, "hidden": int, "s": int, "lot_size": int}
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Flat key=value config; '#' comments; unknown keys are errors."""
-    known = {f.name: f for f in fields(ExperimentConfig)}
+def parse_key_values(text: str, parsers: dict) -> dict:
+    """{key: parsers[key](value)} from key=value lines; '#' starts a comment.
+
+    The one reader of configs and synth specs: a line without '=', an
+    unknown or repeated key, or a value its parser rejects is a ConfigError
+    naming the line.
+    """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -137,27 +146,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got '{raw}'")
         key, _, value = (tok.strip() for tok in line.partition("="))
-        if key not in known:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        values[key] = _parse_value(key, value, lineno)
-    return ExperimentConfig(**values)
+        try:
+            values[key] = parsers[key](value)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"line {lineno}: bad value for '{key}': {value}") from exc
+    return values
 
 
-def _parse_value(key: str, value: str, lineno: int):
-    try:
-        if key in ("dataset", "kind", "optimizer"):
-            return value
-        if key == "early_stopping":
-            return _BOOL_TOKENS[value.lower()]
-        if key == "seeds":
-            return tuple(int(tok) for tok in value.split(","))
-        if key in ("max_epochs", "patience", "hidden", "s", "lot_size"):
-            return int(value)
-        return float(value)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"line {lineno}: bad value for '{key}': {value}") from exc
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Flat key=value config, one line per ExperimentConfig field."""
+    return ExperimentConfig(**parse_key_values(text, _CONFIG_PARSERS))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -332,6 +334,8 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
                           errors=[int(i) for i in metrics.errors])
     if cfg.is_dp:
         eps, order = privacy_spent(trainer.ledger, cfg.delta)
+        if cfg.target_epsilon is not None and eps > cfg.target_epsilon:
+            raise RuntimeError(f"epsilon {eps} exceeds target {cfg.target_epsilon}")
         outcome.epsilon, outcome.moment_order = eps, order
     return outcome
 

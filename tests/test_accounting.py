@@ -89,6 +89,14 @@ def test_log_moment_validation():
         log_moment(0.5, 0.0, 8)
     with pytest.raises(ValueError):
         log_moment(0.5, 4.0, 0)
+    for sigma in (math.nan, math.inf, -math.inf):
+        for q in (0.5, 1.0):
+            with pytest.raises(ValueError):
+                log_moment(q, sigma, 4)
+        with pytest.raises(ValueError):
+            subsampled_log_moment(0.5, sigma, 4)
+        with pytest.raises(ValueError):
+            gaussian_log_moment(sigma, 3)
 
 
 def test_quadrature_matches_closed_form_at_full_sampling():

@@ -1,5 +1,6 @@
 import importlib.metadata as md
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,28 @@ def test_synth_unknown_key_exits_2(tmp_path):
 def test_synth_missing_spec_file_exits_2(tmp_path):
     assert main(["synth", "--spec", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "d")]) == 2
+
+
+def test_synth_duplicate_key_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC_TEXT + "seed = 4\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    assert "line 8: duplicate key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command,flag", [("run", "--config"),
+                                          ("synth", "--spec")])
+@pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
+def test_unreadable_config_or_spec_exits_2(tmp_path, capsys, command, flag,
+                                           unreadable):
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"seed = 1\nname = caf\xe9\n")
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_end_to_end(synth_dir, tmp_path, capsys):
@@ -188,6 +211,16 @@ def test_missing_required_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run"])
     assert exc.value.code == 2
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "dpgcn.cli", "run"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--config" in proc.stderr
 
 
 def test_console_entry_point_is_wired(tmp_path):

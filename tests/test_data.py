@@ -1,9 +1,14 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpgcn.cli import main
 from dpgcn.data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
                         load_dataset, save_dataset)
 from dpgcn.graph import build_graph
@@ -94,6 +99,97 @@ def test_load_error_codes(tmp_path, mutate, code):
     with pytest.raises(DatasetError) as exc:
         load_dataset(path)
     assert exc.value.code == code
+
+
+@pytest.mark.parametrize("name,raw,code,where", [
+    ("edges.tsv", b"0\t1\n1\t2\t9\n", "shape-mismatch", "edges.tsv:2:"),
+    ("masks.tsv", b"0\ttrain\n\n1\n", "shape-mismatch", "masks.tsv:3:"),
+    ("labels.tsv", b"0\t0\n1\t1.0\n", "bad-row", "labels.tsv:2:"),
+    ("labels.tsv", b"0\t0\n1\t1\xff\n2\t0\n", "bad-row", "labels.tsv:2:"),
+    ("features.csv", b"1.0,0.5\n0.0,two\n-1.0,0.25\n", "bad-row",
+     "features.csv:2:"),
+])
+def test_row_errors_name_file_and_line(tmp_path, name, raw, code, where):
+    root = Path(write_fixture(tmp_path / "bad"))
+    (root / name).write_bytes(raw)
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(str(root))
+    assert exc.value.code == code
+    assert str(exc.value).startswith(f"{code}: {where}")
+
+
+def _rewrite(name, edit):
+    def mutate(root):
+        (root / name).write_bytes(edit((root / name).read_bytes()))
+    return mutate
+
+
+def _meta_size(value):
+    return _rewrite("meta.json", lambda raw: raw.replace(b'"num_nodes": 3',
+                                                          b'"num_nodes": ' + value))
+
+
+BROKEN_FILES = {
+    "meta-bad-json": _rewrite("meta.json", lambda raw: raw[:-3]),
+    "meta-bare-number": _rewrite("meta.json", lambda raw: b"3\n"),
+    "meta-size-string": _meta_size(b'"x"'),
+    "meta-size-float": _meta_size(b"3.7"),
+    "meta-size-bool": _meta_size(b"true"),
+    "edges-3-columns": _rewrite("edges.tsv", lambda raw: b"0\t1\t2\n1\t2\n"),
+    "masks-1-column": _rewrite("masks.tsv", lambda raw: raw.replace(b"\tval", b"")),
+    "labels-non-integer": _rewrite("labels.tsv",
+                                   lambda raw: raw.replace(b"1\t1", b"1\tone")),
+    "features-non-number": _rewrite("features.csv",
+                                    lambda raw: raw.replace(b"2.0", b"two")),
+    **{f"{name}-not-utf8": _rewrite(name, lambda raw: raw[:4] + b"\xff" + raw[4:])
+       for name in ("meta.json", "edges.tsv", "features.csv", "labels.tsv",
+                    "masks.tsv")},
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_FILES))
+def test_run_on_malformed_dataset_exits_3(tmp_path, capsys, broken):
+    root = Path(write_fixture(tmp_path / "data"))
+    BROKEN_FILES[broken](root)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset = {root}\nkind = A\nmax_epochs = 1\nseeds = 0\n")
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("dataset error: ")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_one_line_mutation_raises_dataset_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(write_fixture(Path(tmp) / "data"))
+        name = data.draw(st.sampled_from(sorted(os.listdir(root))))
+        raw = (root / name).read_bytes()
+        how = data.draw(st.sampled_from(
+            ("truncate", "byte") if name == "meta.json"
+            else ("drop", "add", "non-number", "byte")))
+        if how == "truncate":  # cut inside the JSON text, not just its newline
+            raw = raw[:data.draw(st.integers(0, len(raw.rstrip()) - 1))]
+        elif how == "byte":  # no UTF-8 text holds a lone 0x80 or 0xff
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + data.draw(st.sampled_from((b"\x80", b"\xff"))) + raw[at:]
+        else:
+            sep = "," if name.endswith(".csv") else "\t"
+            lines = raw.decode().splitlines()
+            k = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[k].split(sep)
+            col = data.draw(st.integers(0, len(cells) - 1))
+            if how == "drop":
+                del cells[col]
+            elif how == "add":
+                cells.insert(col, "1")
+            else:
+                cells[col] = data.draw(st.sampled_from(("x", "1e", "", "--1")))
+            lines[k] = sep.join(cells)
+            raw = "".join(line + "\n" for line in lines).encode()
+        (root / name).write_bytes(raw)
+        with pytest.raises(DatasetError):
+            load_dataset(str(root))
 
 
 def test_load_missing_directory(tmp_path):

@@ -334,6 +334,17 @@ def test_run_c_dp_with_target_epsilon(sbm):
         calibrate_noise(4.0, 1e-5, 0.25, 20))
 
 
+def test_run_refuses_epsilon_above_target(sbm, monkeypatch):
+    calibrated = harness_mod.calibrate_noise
+    monkeypatch.setattr(harness_mod, "calibrate_noise",
+                        lambda *args: calibrated(*args) / 2)
+    cfg = ExperimentConfig(kind="B", optimizer="adam-dp", target_epsilon=2.0,
+                           max_epochs=5, seeds=(0,))
+    with pytest.raises(RuntimeError, match="exceeds target") as exc:
+        run_experiment(cfg, dataset=sbm)
+    assert not isinstance(exc.value, TrainingDiverged)
+
+
 def test_run_rerun_bitwise_identical(sbm):
     cfg = ExperimentConfig(kind="B", optimizer="sgd-dp", sigma=4.0, lr=0.5,
                            max_epochs=15, seeds=(0, 1, 2))
