@@ -93,8 +93,8 @@ def _cmd_account(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    if args.s < 1:
-        raise ConfigError("s must be positive")
+    if args.s < 1 or args.seed < 0:
+        raise ConfigError("s must be positive and seed non-negative")
     ds = load_dataset(args.dataset)
     rng = Prng(args.seed, STREAM_PARTITION)
     try:

@@ -217,6 +217,8 @@ class SynthSpec:
                 raise ValueError("edge probabilities must be in [0, 1]")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def num_nodes(self) -> int:

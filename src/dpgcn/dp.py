@@ -89,16 +89,8 @@ def adam_step(state: AdamState, params: GcnParams, grad: np.ndarray,
     params.add_flat(-lr * m_hat / (np.sqrt(v_hat) + state.eps_hat))
 
 
-@dataclass(frozen=True)
-class LotPlan:
-    example_ids: np.ndarray
-    lot_size: int
-    sampling_ratio: float  # q = L / num_examples
-
-
-def sample_lot(num_examples: int, lot_size: int, rng: Prng) -> LotPlan:
+def sample_lot(num_examples: int, lot_size: int, rng: Prng) -> np.ndarray:
     """Uniform lot of lot_size distinct example ids (sorted)."""
     if not 1 <= lot_size <= num_examples:
         raise ValueError(f"lot size {lot_size} not in [1, {num_examples}]")
-    ids = rng.sample_without_replacement(num_examples, lot_size)
-    return LotPlan(ids, lot_size, lot_size / num_examples)
+    return rng.sample_without_replacement(num_examples, lot_size)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,25 +29,6 @@ class SparseGraph:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Weighted CSR of D^-1/2 (A + I) D^-1/2, self-loops included.
-
-    ``matrix`` is the same CSR for scipy, built once and reused by spmm.
-    """
-
-    num_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", sp.csr_matrix(
-            (self.weights, self.indices, self.indptr),
-            shape=(self.num_nodes, self.num_nodes)))
-
-
 def build_graph(num_nodes: int, edges) -> SparseGraph:
     """CSR graph from an (i, j) edge list; symmetrized and deduplicated.
 
@@ -55,7 +36,7 @@ def build_graph(num_nodes: int, edges) -> SparseGraph:
     """
     if num_nodes < 0:
         raise ValueError("negative node count")
-    edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge index out of range")
     edges = edges[edges[:, 0] != edges[:, 1]]
@@ -71,33 +52,28 @@ def build_graph(num_nodes: int, edges) -> SparseGraph:
     return SparseGraph(num_nodes, indptr, dst)
 
 
-def normalize_adjacency(graph: SparseGraph) -> NormalizedAdjacency:
-    """Symmetric degree normalization with an added self-loop per node.
+def normalize_adjacency(graph: SparseGraph) -> sp.csr_matrix:
+    """D^-1/2 (A + I) D^-1/2 as a scipy CSR matrix, self-loops included.
 
     Entry (i, j) is 1/sqrt(d_i d_j) where d counts neighbors plus self;
     the same product is used for (j, i), so symmetry is exact.
     """
     n = graph.num_nodes
-    deg = graph.degrees().astype(np.float64) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    rows = np.concatenate([np.repeat(np.arange(n, dtype=np.int64), graph.degrees()),
-                           np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([graph.indices, np.arange(n, dtype=np.int64)])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    weights = inv_sqrt[rows] * inv_sqrt[cols]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NormalizedAdjacency(n, indptr, cols, weights)
+    adj = sp.csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr),
+                        shape=(n, n)) + sp.identity(n, format="csr")
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees() + 1.0)
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    adj.data = inv_sqrt[rows] * inv_sqrt[adj.indices]
+    return adj
 
 
-def spmm(adj: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
+def spmm(adj: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
     """Sparse-dense product adj @ dense with row-sequential accumulation."""
     dense = np.asarray(dense, dtype=np.float64)
-    if dense.shape[0] != adj.num_nodes:
+    if dense.shape[0] != adj.shape[0]:
         raise ValueError(f"dense operand has {dense.shape[0]} rows, "
-                         f"graph has {adj.num_nodes} nodes")
-    return np.asarray(adj.matrix @ dense)
+                         f"graph has {adj.shape[0]} nodes")
+    return adj @ dense
 
 
 @dataclass(frozen=True)

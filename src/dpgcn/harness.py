@@ -107,10 +107,13 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must be in (0, 1]")
         if not 1 <= cfg.lot_size <= cfg.s:
             raise ConfigError("lot_size must be in [1, s]")
+        if not cfg.is_dp and cfg.lot_size != cfg.s:
+            raise ConfigError("non-DP runs take one step per example; "
+                              "lot_size must equal s")
         if not 0 < cfg.delta < 1:
             raise ConfigError("delta must be in (0, 1)")
-        if not cfg.seeds:
-            raise ConfigError("need at least one seed")
+        if not cfg.seeds or min(cfg.seeds) < 0:
+            raise ConfigError("need at least one seed, none negative")
         return cfg
 
     @property
@@ -295,9 +298,10 @@ class _Trainer:
             return
         for _ in range(cfg.steps_per_epoch):
             lot = sample_lot(n, cfg.lot_size, self.rng_lot)
-            grads = [self._gradient(int(k), epoch) for k in lot.example_ids]
+            grads = [self._gradient(int(k), epoch) for k in lot]
             grad = noisy_lot_gradient(grads, self.noise, self.rng_noise)
-            self.ledger.append(lot.sampling_ratio, self.noise.noise_multiplier)
+            # the q resolve_sigma calibrates with
+            self.ledger.append(cfg.lot_size / cfg.s, self.noise.noise_multiplier)
             self._step(grad)
 
     def val_score(self) -> float:
@@ -356,6 +360,11 @@ def run_experiment(config: ExperimentConfig,
     cfg = config.finalized()
     if dataset is None:
         dataset = load_dataset(cfg.dataset)
+    if dataset.test_nodes.size == 0:
+        raise ConfigError(f"dataset '{dataset.name}' has no test nodes")
+    if cfg.early_stopping and dataset.val_nodes.size == 0:
+        raise ConfigError(f"dataset '{dataset.name}' has no validation nodes "
+                          "for early stopping")
     if cfg.kind == "C":
         usable = max(1, int(round(cfg.train_fraction * dataset.train_nodes.size)))
         if cfg.s > usable:

@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import NormalizedAdjacency, spmm
+from .graph import spmm
 from .rng import Prng
 
 
@@ -64,7 +65,7 @@ def init_params(feature_dim: int, hidden: int, num_classes: int,
     return GcnParams(glorot(feature_dim, hidden), glorot(hidden, num_classes))
 
 
-def forward(params: GcnParams, adj: NormalizedAdjacency, features: np.ndarray,
+def forward(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
             dropout: float = 0.0, training: bool = False,
             rng: Prng | None = None) -> ForwardTrace:
     if not 0.0 <= dropout < 1.0:
@@ -100,7 +101,7 @@ def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     return float(-lp[np.arange(mask.size), y].mean())
 
 
-def backward(params: GcnParams, trace: ForwardTrace, adj: NormalizedAdjacency,
+def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
              features: np.ndarray, labels: np.ndarray, mask) -> np.ndarray:
     """Flat gradient (w0 then w1) of the masked loss at the traced point."""
     mask = np.asarray(mask, dtype=np.int64)
@@ -118,7 +119,7 @@ def backward(params: GcnParams, trace: ForwardTrace, adj: NormalizedAdjacency,
     return np.concatenate([grad_w0.ravel(), grad_w1.ravel()])
 
 
-def evaluate(params: GcnParams, adj: NormalizedAdjacency, features: np.ndarray,
+def evaluate(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
              labels: np.ndarray, mask) -> Metrics:
     """Micro-F1, confusion matrix, and error set on the masked nodes."""
     mask = np.asarray(mask, dtype=np.int64)

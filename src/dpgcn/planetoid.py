@@ -12,8 +12,8 @@ citeseer's test ids have gaps (some ids in the test range never appear);
 the missing rows are filled with zero features and left unlabeled, so
 they stay in the graph but out of every mask.
 
-Usage: python3 scripts/convert_planetoid.py --name cora --raw-dir
-<download dir> --out data/cora [--no-row-normalize]
+Usage: python3 -m dpgcn.planetoid --name cora --raw-dir <download dir>
+--out data/cora [--no-row-normalize]
 """
 
 from __future__ import annotations

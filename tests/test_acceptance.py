@@ -2,11 +2,11 @@
 
 Run `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion. Covered: accountant golden values, analytic gradients against
-finite differences, quadrature consistency of the privacy accountant,
-the clipped-and-noised lot mechanism, partition/masking guarantees,
-citation-network baselines (skipped unless a converted dataset is
-present), privacy-ordering properties, large-dataset config shapes on
-synthetic stand-ins, and bitwise determinism.
+finite differences, the subsampled log moment against the Gaussian one
+at q = 1, the clipped-and-noised lot mechanism, partition/masking
+guarantees, citation-network baselines (skipped unless a converted
+dataset is present), privacy-ordering properties, large-dataset config
+shapes on synthetic stand-ins, and bitwise determinism.
 """
 
 import math
@@ -77,7 +77,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
         assert grad_rel_err(analytic, numeric) < 1e-5, f"trial {trial}"
 
 
-# --- criterion 3: quadrature consistency of the log moment ---------------
+# --- criterion 3: the subsampled log moment reduces to the Gaussian one ---
 
 
 def test_criterion_03_quadrature_matches_closed_form_at_q1():

@@ -201,6 +201,35 @@ def test_split_missing_dataset_exits_3(tmp_path):
                  "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("early_stopping", ["on", "off"])
+def test_run_on_split_piece_without_val_or_test_exits_2(synth_dir, tmp_path,
+                                                        capsys, early_stopping):
+    out = tmp_path / "splits"
+    assert main(["split", "--dataset", str(synth_dir), "--s", "3",
+                 "--out", str(out)]) == 0
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset = {out / 'subgraph_000'}\nkind = A\n"
+                      f"max_epochs = 5\nearly_stopping = {early_stopping}\n")
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "results")]) == 2
+    assert "no test nodes" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "split", "run"])
+def test_negative_seed_exits_2(synth_dir, tmp_path, command):
+    spec = tmp_path / "neg.txt"
+    spec.write_text(SPEC_TEXT.replace("seed = 3", "seed = -1"))
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset = {synth_dir}\nkind = A\nmax_epochs = 2\n")
+    out = tmp_path / "out"
+    argv = {"synth": ["--spec", str(spec)],
+            "split": ["--dataset", str(synth_dir), "--s", "2", "--seed", "-1"],
+            "run": ["--config", str(config), "--seed", "-3"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["fly"])

@@ -240,21 +240,18 @@ def test_adam_moment_recurrence():
 # ---- sample_lot ----
 
 def test_lot_full_population():
-    plan = sample_lot(4, 4, Prng(0, stream=5))
-    assert np.array_equal(plan.example_ids, [0, 1, 2, 3])
-    assert plan.lot_size == 4 and plan.sampling_ratio == 1.0
+    ids = sample_lot(4, 4, Prng(0, stream=5))
+    assert np.array_equal(ids, [0, 1, 2, 3])
 
 
 def test_lot_single_example():
-    plan = sample_lot(10, 1, Prng(2, stream=5))
-    assert plan.example_ids.size == 1
-    assert 0 <= plan.example_ids[0] < 10
-    assert plan.sampling_ratio == pytest.approx(0.1)
+    ids = sample_lot(10, 1, Prng(2, stream=5))
+    assert ids.size == 1
+    assert 0 <= ids[0] < 10
 
 
 def test_lot_ids_sorted_distinct():
-    plan = sample_lot(50, 20, Prng(9, stream=5))
-    ids = plan.example_ids
+    ids = sample_lot(50, 20, Prng(9, stream=5))
     assert (np.diff(ids) > 0).all()
     assert ids.min() >= 0 and ids.max() < 50
 
@@ -272,7 +269,7 @@ def test_lot_inclusion_frequency():
     rng = Prng(11, stream=5)
     hits = np.zeros(n)
     for _ in range(draws):
-        hits[sample_lot(n, 1, rng).example_ids] += 1
+        hits[sample_lot(n, 1, rng)] += 1
     p_hat = hits / draws
     se = np.sqrt(0.1 * 0.9 / draws)
     assert (np.abs(p_hat - 0.1) <= 3.0 * se).all()

@@ -28,10 +28,10 @@ def dense_normalized(graph):
 
 
 def adj_to_dense(adj):
-    out = np.zeros((adj.num_nodes, adj.num_nodes))
-    for i in range(adj.num_nodes):
+    out = np.zeros(adj.shape)
+    for i in range(adj.shape[0]):
         lo, hi = adj.indptr[i], adj.indptr[i + 1]
-        out[i, adj.indices[lo:hi]] = adj.weights[lo:hi]
+        out[i, adj.indices[lo:hi]] = adj.data[lo:hi]
     return out
 
 
@@ -132,7 +132,7 @@ def test_normalize_row_sum_formula():
         neigh = np.append(g.neighbors(i), i)
         want = np.sum(1.0 / np.sqrt(d[i] * d[neigh]))
         lo, hi = adj.indptr[i], adj.indptr[i + 1]
-        assert adj.weights[lo:hi].sum() == pytest.approx(want, rel=1e-12)
+        assert adj.data[lo:hi].sum() == pytest.approx(want, rel=1e-12)
 
 
 # ---- spmm ----
