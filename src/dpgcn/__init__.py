@@ -7,6 +7,8 @@ directory format and synthetic generator (data), and the experiment driver
 (harness). The dpgcn CLI fronts the harness.
 """
 
+__version__ = "0.1.0"  # before the submodules: harness records it
+
 from .accounting import (AccountantLedger, calibrate_noise, compose,
                          delta_from_eps, eps_from_delta, gaussian_log_moment,
                          log_moment, privacy_spent, subsampled_log_moment)
@@ -23,7 +25,5 @@ from .harness import (ConfigError, ExperimentConfig, ResultsRecord,
 from .model import (ForwardTrace, GcnParams, Metrics, backward, evaluate,
                     forward, init_params, macro_f1, masked_cross_entropy)
 from .rng import Prng
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

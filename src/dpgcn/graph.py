@@ -59,12 +59,14 @@ def normalize_adjacency(graph: SparseGraph) -> sp.csr_matrix:
     the same product is used for (j, i), so symmetry is exact.
     """
     n = graph.num_nodes
-    adj = sp.csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr),
-                        shape=(n, n)) + sp.identity(n, format="csr")
+    # row-major keys r*n + c of the edges plus the diagonal, sorted once
+    keys = np.sort(np.concatenate([
+        np.repeat(np.arange(n), graph.degrees()) * n + graph.indices,
+        np.arange(n) * (n + 1)]))
+    rows, cols = np.divmod(keys, n)
     inv_sqrt = 1.0 / np.sqrt(graph.degrees() + 1.0)
-    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-    adj.data = inv_sqrt[rows] * inv_sqrt[adj.indices]
-    return adj
+    return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols,
+                          graph.indptr + np.arange(n + 1)), shape=(n, n))
 
 
 def spmm(adj: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 An example is a graph, its features and labels, and a mask of the nodes
 whose loss counts. Kinds A (non-private) and B (DP, q = 1) have one: the
 full graph with the training nodes as mask. Kind C has s, the disjoint
-induced subgraphs of a random split of the training nodes. Non-DP
+induced subgraphs of a random split of the training nodes. Each example
+holds its aggregated features A X, computed once per seed. Non-DP
 training sweeps the examples in random order, one step each; DP training
 samples lots of lot_size examples, one noised step per lot.
 """
@@ -17,15 +18,18 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+import scipy
+import scipy.sparse as sp
 
+from . import __version__
 from . import rng as streams
 from .accounting import AccountantLedger, calibrate_noise, privacy_spent
 from .data import Dataset, load_dataset
 from .dp import (AdamState, DpNoiseSpec, adam_step, noisy_lot_gradient,
                  sample_lot, sgd_step)
-from .graph import normalize_adjacency, random_partition, mask_subgraph
-from .model import (backward, evaluate, forward, init_params, macro_f1,
-                    masked_cross_entropy)
+from .graph import mask_subgraph, normalize_adjacency, random_partition, spmm
+from .model import (GcnParams, Metrics, backward, evaluate, forward,
+                    init_params, macro_f1, masked_cross_entropy)
 from .rng import Prng
 
 _OPTIMIZERS = ("sgd", "adam", "sgd-dp", "adam-dp")
@@ -216,6 +220,22 @@ class ResultsRecord:
     metadata: dict
 
 
+@dataclass(frozen=True)
+class Example:
+    """A graph, its node data, the mask of nodes whose loss counts, and
+    ax = adj @ features, which stays fixed for the whole run."""
+
+    adj: sp.csr_matrix
+    features: np.ndarray
+    labels: np.ndarray
+    mask: np.ndarray
+    ax: np.ndarray
+
+    @classmethod
+    def of(cls, adj, features, labels, mask) -> "Example":
+        return cls(adj, features, labels, mask, spmm(adj, features))
+
+
 def _require_finite(value: float, what: str, epoch: int) -> None:
     if not math.isfinite(value):
         raise TrainingDiverged(f"non-finite {what} at epoch {epoch}")
@@ -233,7 +253,6 @@ class _Trainer:
         self.rng_part = Prng(seed, streams.STREAM_PARTITION)
         self.rng_lot = Prng(seed, streams.STREAM_LOT)
         self.rng_sub = Prng(seed, streams.STREAM_SUBSAMPLE)
-        self.adj = normalize_adjacency(dataset.graph)
         self.train_nodes = self._training_nodes()
         self.params = init_params(dataset.feature_dim, cfg.hidden,
                                   dataset.num_classes, self.rng_init)
@@ -241,9 +260,10 @@ class _Trainer:
             if cfg.optimizer.startswith("adam") else None
         self.noise = DpNoiseSpec(cfg.clip_norm, sigma or 0.0) if cfg.is_dp else None
         self.ledger = AccountantLedger()
-        # (adjacency, features, labels, mask) per example
-        self.examples = self._subgraph_examples() if cfg.kind == "C" else \
-            [(self.adj, dataset.features, dataset.labels, self.train_nodes)]
+        # the full graph: validation and test, and kinds A and B's one example
+        self.full = Example.of(normalize_adjacency(dataset.graph),
+                               dataset.features, dataset.labels, self.train_nodes)
+        self.examples = self._subgraph_examples() if cfg.kind == "C" else [self.full]
 
     def _training_nodes(self) -> np.ndarray:
         nodes = self.ds.train_nodes
@@ -268,18 +288,19 @@ class _Trainer:
             # every stored edge must stay inside the subgraph's node set
             if sub.graph.indices.size and sub.graph.indices.max() >= sub.node_ids.size:
                 raise AssertionError("cross-subgraph edge survived masking")
-            examples.append((normalize_adjacency(sub.graph), sub.features,
-                             sub.labels, np.arange(sub.node_ids.size)))
+            examples.append(Example.of(normalize_adjacency(sub.graph), sub.features,
+                                       sub.labels, np.arange(sub.node_ids.size)))
         return examples
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
-        adj, feats, labels, mask = self.examples[k]
-        trace = forward(self.params, adj, feats, self.cfg.dropout,
-                        training=True, rng=self.rng_drop)
-        loss = masked_cross_entropy(trace.logits, labels, mask)
+        ex = self.examples[k]
+        trace = forward(self.params, ex.adj, ex.features, self.cfg.dropout,
+                        training=True, rng=self.rng_drop, ax=ex.ax)
+        loss = masked_cross_entropy(trace.logits, ex.labels, ex.mask)
         _require_finite(loss, "loss", epoch)
         self.last_loss = loss
-        grad = backward(self.params, trace, adj, feats, labels, mask)
+        grad = backward(self.params, trace, ex.adj, ex.features, ex.labels,
+                        ex.mask)
         if not np.isfinite(grad).all():
             raise TrainingDiverged(f"non-finite gradient at epoch {epoch}")
         return grad
@@ -304,9 +325,13 @@ class _Trainer:
             self.ledger.append(cfg.lot_size / cfg.s, self.noise.noise_multiplier)
             self._step(grad)
 
+    def metrics(self, params: GcnParams, nodes) -> Metrics:
+        """params scored on the given nodes of the full graph."""
+        f = self.full
+        return evaluate(params, f.adj, f.features, f.labels, nodes, ax=f.ax)
+
     def val_score(self) -> float:
-        return evaluate(self.params, self.adj, self.ds.features,
-                        self.ds.labels, self.ds.val_nodes).micro_f1
+        return self.metrics(self.params, self.ds.val_nodes).micro_f1
 
 
 def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
@@ -328,8 +353,7 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
                 break
     eval_params = best_params if (cfg.early_stopping and best_params is not None) \
         else trainer.params
-    metrics = evaluate(eval_params, trainer.adj, dataset.features,
-                       dataset.labels, dataset.test_nodes)
+    metrics = trainer.metrics(eval_params, dataset.test_nodes)
     outcome = SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
                           f1_macro=macro_f1(metrics.confusion),
                           epochs=epochs_run,
@@ -397,6 +421,13 @@ def run_experiment(config: ExperimentConfig,
         "sigma": sigma,
         "test_metric_at": "best_val" if cfg.early_stopping else "final_epoch",
         "dataset_name": dataset.name,
+        # what epsilon covers (None for the non-private kind A)
+        "neighbouring_relation": "add/remove one example" if cfg.is_dp else None,
+        "privacy_unit": {"B": "the whole training graph as one example",
+                         "C": "one subgraph of a fixed partition"}.get(cfg.kind),
+        "sampler": "fixed-size lots, accounted as Poisson" if cfg.is_dp else None,
+        "versions": {"dpgcn": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     return ResultsRecord(cfg.to_dict(), outcomes, aggregate, metadata)
 

@@ -1,7 +1,9 @@
 """Two-layer graph convolutional network with hand-written backprop.
 
 Forward: Z0 = A X W0, H1 = dropout(relu(Z0)), logits = A H1 W1, where A is
-the normalized adjacency. No biases; softmax lives inside the loss.
+the normalized adjacency. No biases; softmax lives inside the loss. A and X
+stay fixed during training, so callers may pass the product A X once
+computed as ``ax`` to forward and evaluate.
 """
 
 from __future__ import annotations
@@ -67,10 +69,12 @@ def init_params(feature_dim: int, hidden: int, num_classes: int,
 
 def forward(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
             dropout: float = 0.0, training: bool = False,
-            rng: Prng | None = None) -> ForwardTrace:
+            rng: Prng | None = None, *, ax: np.ndarray | None = None
+            ) -> ForwardTrace:
+    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features) if given."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    z0 = spmm(adj, features) @ params.w0
+    z0 = (spmm(adj, features) if ax is None else ax) @ params.w0
     h = np.maximum(z0, 0.0)
     if training and dropout > 0.0:
         if rng is None:
@@ -120,12 +124,13 @@ def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
 
 
 def evaluate(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
-             labels: np.ndarray, mask) -> Metrics:
+             labels: np.ndarray, mask, *, ax: np.ndarray | None = None
+             ) -> Metrics:
     """Micro-F1, confusion matrix, and error set on the masked nodes."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
-    trace = forward(params, adj, features)
+    trace = forward(params, adj, features, ax=ax)
     pred = trace.logits[mask].argmax(axis=1)  # ties resolve to lowest index
     true = np.asarray(labels)[mask]
     k = trace.logits.shape[1]

@@ -5,11 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
+import dpgcn
 import dpgcn.harness as harness_mod
+import dpgcn.model as model_mod
 from dpgcn.accounting import AccountantLedger, calibrate_noise, privacy_spent
 from dpgcn.data import SynthSpec, generate_synthetic
+from dpgcn.graph import spmm
 from dpgcn.harness import (ConfigError, ExperimentConfig, ResultsRecord,
                            SeedOutcome, TrainingDiverged, early_stop_check,
                            emit_results, hard_case_overlap, parse_config_text,
@@ -455,6 +459,55 @@ def test_training_builds_no_sparse_matrix(sbm, monkeypatch, kw):
         trainer.run_epoch(epoch)
     trainer.val_score()
     assert built == []
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="A", optimizer="adam"),
+    dict(kind="B", optimizer="sgd-dp", sigma=2.0),
+    dict(kind="C", optimizer="adam", s=4),
+    dict(kind="C", optimizer="adam-dp", s=4, lot_size=2, sigma=2.0),
+])
+def test_training_aggregates_features_once_per_example(sbm, monkeypatch, kw):
+    # A X is computed when the trainer is built: once per example, plus once
+    # for the full graph, which kinds A and B train on as their one example
+    cfg = ExperimentConfig(max_epochs=10, seeds=(0,), **kw).finalized()
+    products = []
+
+    def counting(adj, dense):
+        if np.shape(dense)[1] == sbm.feature_dim:
+            products.append(adj.shape[0])
+        return spmm(adj, dense)
+
+    for module in (model_mod, harness_mod):
+        monkeypatch.setattr(module, "spmm", counting)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=cfg.sigma)
+    for epoch in range(1, 4):
+        trainer.run_epoch(epoch)
+    trainer.val_score()
+    subgraphs = cfg.s if cfg.kind == "C" else 0
+    assert len(products) == 1 + subgraphs
+    assert products.count(sbm.num_nodes) == 1
+    # the s subgraphs partition the training nodes
+    assert sum(products) == sbm.num_nodes + (trainer.train_nodes.size if subgraphs else 0)
+
+
+@pytest.mark.parametrize("kind, optimizer, unit", [
+    ("A", "adam", None),
+    ("B", "adam-dp", "the whole training graph as one example"),
+    ("C", "adam-dp", "one subgraph of a fixed partition"),
+], ids=["A", "B", "C"])
+def test_run_metadata_says_what_epsilon_covers(sbm, kind, optimizer, unit):
+    dp = optimizer.endswith("-dp")
+    cfg = ExperimentConfig(kind=kind, optimizer=optimizer, max_epochs=2,
+                           seeds=(0,), s=4 if kind == "C" else 1,
+                           sigma=2.0 if dp else None)
+    meta = run_experiment(cfg, dataset=sbm).metadata
+    assert meta["privacy_unit"] == unit
+    assert meta["neighbouring_relation"] == ("add/remove one example" if dp else None)
+    assert meta["sampler"] == ("fixed-size lots, accounted as Poisson" if dp else None)
+    assert meta["versions"] == {"dpgcn": dpgcn.__version__,
+                                "numpy": np.__version__,
+                                "scipy": scipy.__version__}
 
 
 def test_trainer_non_dp_keeps_empty_ledger(sbm):

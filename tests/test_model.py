@@ -118,6 +118,31 @@ def test_forward_permutation_equivariance():
     assert np.allclose(logits_p, logits[perm], rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_with_cached_ax_is_bitwise_equal(training):
+    # passing spmm(adj, X) as ax must change nothing, dropout pattern included
+    adj, feats, labels, params = tiny_setup(9, 7, 6, 3, 31, extra_edges=12)
+    kw = dict(dropout=0.5, training=training)
+    plain = forward(params, adj, feats, rng=Prng(5, stream=STREAM_DROPOUT), **kw)
+    cached = forward(params, adj, feats, rng=Prng(5, stream=STREAM_DROPOUT),
+                     ax=spmm(adj, feats), **kw)
+    for name in ("pre_hidden", "hidden", "logits", "keep_scale"):
+        want, got = getattr(plain, name), getattr(cached, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    if training:
+        assert (plain.keep_scale == 0.0).any()
+
+
+def test_evaluate_with_cached_ax_is_equal():
+    adj, feats, labels, params = tiny_setup(12, 5, 6, 3, 37, extra_edges=15)
+    mask = np.array([0, 2, 3, 5, 8, 11])
+    plain = evaluate(params, adj, feats, labels, mask)
+    cached = evaluate(params, adj, feats, labels, mask, ax=spmm(adj, feats))
+    assert cached.micro_f1 == plain.micro_f1
+    assert np.array_equal(cached.confusion, plain.confusion)
+    assert np.array_equal(cached.errors, plain.errors)
+
+
 # ---- masked_cross_entropy ----
 
 def test_ce_uniform_logits_ln_k():
