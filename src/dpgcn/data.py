@@ -13,8 +13,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import SparseGraph, build_graph
+from .graph import build_graph
 from .rng import STREAM_SYNTH, Prng
 
 _MASK_IDS = {"train": 0, "val": 1, "test": 2}
@@ -31,7 +32,7 @@ class DatasetError(ValueError):
 @dataclass
 class Dataset:
     name: str
-    graph: SparseGraph
+    graph: sp.csr_matrix   # symmetric 0/1 adjacency, no self-loops
     features: np.ndarray   # (num_nodes, feature_dim) float64, finite
     labels: np.ndarray     # (num_nodes,) int64, -1 where unlabeled
     train_nodes: np.ndarray
@@ -42,17 +43,19 @@ class Dataset:
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.num_nodes
+        return self.graph.shape[0]
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
     def validate(self) -> "Dataset":
-        n = self.graph.num_nodes
+        n = self.num_nodes
         if self.features.shape[0] != n:
             raise DatasetError("shape-mismatch",
                                "feature rows do not match node count")
+        if self.feature_dim < 1:
+            raise DatasetError("bad-meta", "need at least one feature column")
         if not np.isfinite(self.features).all():
             raise DatasetError("non-finite-feature", "features must be finite")
         if self.num_classes < 2:
@@ -173,12 +176,10 @@ def save_dataset(ds: Dataset, path: str) -> None:
             "feature_kind": ds.feature_kind}
     write("meta.json", [json.dumps(meta, indent=2, sort_keys=True)])
 
-    edges = []
-    for i in range(ds.num_nodes):
-        for j in ds.graph.neighbors(i):
-            if i < j:
-                edges.append(f"{i}\t{j}")
-    write("edges.tsv", edges)
+    edges = ds.graph.tocoo()
+    upper = edges.row < edges.col
+    write("edges.tsv", [f"{i}\t{j}" for i, j in zip(edges.row[upper].tolist(),
+                                                     edges.col[upper].tolist())])
 
     if ds.feature_kind == "dense":
         write("features.csv",

@@ -1,4 +1,4 @@
-"""Sparse graph storage, symmetric normalization, and random node splitting."""
+"""Graph adjacency as scipy CSR, its normalization, and random node splitting."""
 
 from __future__ import annotations
 
@@ -10,61 +10,38 @@ import scipy.sparse as sp
 from .rng import Prng
 
 
-@dataclass(frozen=True)
-class SparseGraph:
-    """Undirected graph in CSR form; no weights, no stored self-loops."""
+def build_graph(num_nodes: int, edges) -> sp.csr_matrix:
+    """Symmetric 0/1 CSR adjacency from an (i, j) edge list.
 
-    num_nodes: int
-    indptr: np.ndarray   # int64, len num_nodes + 1
-    indices: np.ndarray  # int64, sorted within each row
-
-    @property
-    def num_edges(self) -> int:
-        return self.indices.size // 2
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-
-def build_graph(num_nodes: int, edges) -> SparseGraph:
-    """CSR graph from an (i, j) edge list; symmetrized and deduplicated.
-
-    Self-loops in the input are dropped (the representation stores none).
+    Each edge is stored in both orientations; repeats are merged, self-loops
+    dropped, and column indices sorted within each row.
     """
     if num_nodes < 0:
         raise ValueError("negative node count")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge index out of range")
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size:
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        keys = np.unique(src * num_nodes + dst)
-        src, dst = keys // num_nodes, keys % num_nodes
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    return SparseGraph(num_nodes, indptr, dst)
+    i, j = edges[edges[:, 0] != edges[:, 1]].T
+    graph = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])),
+                          shape=(num_nodes, num_nodes))
+    graph.data[:] = 1.0  # the COO conversion summed repeated edges
+    return graph
 
 
-def normalize_adjacency(graph: SparseGraph) -> sp.csr_matrix:
+def normalize_adjacency(graph: sp.csr_matrix) -> sp.csr_matrix:
     """D^-1/2 (A + I) D^-1/2 as a scipy CSR matrix, self-loops included.
 
     Entry (i, j) is 1/sqrt(d_i d_j) where d counts neighbors plus self;
     the same product is used for (j, i), so symmetry is exact.
     """
-    n = graph.num_nodes
+    n = graph.shape[0]
+    degrees = np.diff(graph.indptr)
     # row-major keys r*n + c of the edges plus the diagonal, sorted once
     keys = np.sort(np.concatenate([
-        np.repeat(np.arange(n), graph.degrees()) * n + graph.indices,
+        np.repeat(np.arange(n), degrees) * n + graph.indices,
         np.arange(n) * (n + 1)]))
     rows, cols = np.divmod(keys, n)
-    inv_sqrt = 1.0 / np.sqrt(graph.degrees() + 1.0)
+    inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
     return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols,
                           graph.indptr + np.arange(n + 1)), shape=(n, n))
 
@@ -116,27 +93,18 @@ def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> Partition
 class Subgraph:
     """Induced subgraph with rows of the node data, relabeled to 0..m-1."""
 
-    graph: SparseGraph
+    graph: sp.csr_matrix
     features: np.ndarray
     labels: np.ndarray
     node_ids: np.ndarray  # node_ids[new] = old global id (the relabel map)
 
 
-def mask_subgraph(graph: SparseGraph, features: np.ndarray, labels: np.ndarray,
+def mask_subgraph(graph: sp.csr_matrix, features: np.ndarray, labels: np.ndarray,
                   part: Partition, k: int) -> Subgraph:
     """Restrict graph and node data to subgraph k, dropping cross edges."""
     if not 0 <= k < part.num_subgraphs:
         raise ValueError(f"subgraph index {k} out of range")
     keep = part.members(k)
-    inside = np.zeros(graph.num_nodes, dtype=bool)
-    inside[keep] = True
-    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
-    relabel[keep] = np.arange(keep.size, dtype=np.int64)
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees())
-    sel = inside[rows] & inside[graph.indices]
-    new_rows, new_cols = relabel[rows[sel]], relabel[graph.indices[sel]]
-    indptr = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(new_rows, minlength=keep.size), out=indptr[1:])
-    sub = SparseGraph(keep.size, indptr, new_cols)
-    return Subgraph(sub, np.asarray(features, dtype=np.float64)[keep],
+    return Subgraph(graph[keep][:, keep],
+                    np.asarray(features, dtype=np.float64)[keep],
                     np.asarray(labels)[keep], keep)

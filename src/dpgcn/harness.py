@@ -236,6 +236,11 @@ class Example:
         return cls(adj, features, labels, mask, spmm(adj, features))
 
 
+def _training_count(cfg: ExperimentConfig, available: int) -> int:
+    """How many of the dataset's training nodes each seed trains on."""
+    return max(1, int(round(cfg.train_fraction * available)))
+
+
 def _require_finite(value: float, what: str, epoch: int) -> None:
     if not math.isfinite(value):
         raise TrainingDiverged(f"non-finite {what} at epoch {epoch}")
@@ -268,11 +273,9 @@ class _Trainer:
     def _training_nodes(self) -> np.ndarray:
         nodes = self.ds.train_nodes
         if self.cfg.train_fraction < 1.0:
-            keep = max(1, int(round(self.cfg.train_fraction * nodes.size)))
-            pick = self.rng_sub.sample_without_replacement(nodes.size, keep)
+            pick = self.rng_sub.sample_without_replacement(
+                nodes.size, _training_count(self.cfg, nodes.size))
             nodes = nodes[pick]
-        if nodes.size == 0:
-            raise ConfigError("no training nodes")
         return nodes
 
     def _subgraph_examples(self) -> list:
@@ -384,15 +387,16 @@ def run_experiment(config: ExperimentConfig,
     cfg = config.finalized()
     if dataset is None:
         dataset = load_dataset(cfg.dataset)
+    if dataset.train_nodes.size == 0:
+        raise ConfigError(f"dataset '{dataset.name}' has no training nodes")
     if dataset.test_nodes.size == 0:
         raise ConfigError(f"dataset '{dataset.name}' has no test nodes")
     if cfg.early_stopping and dataset.val_nodes.size == 0:
         raise ConfigError(f"dataset '{dataset.name}' has no validation nodes "
                           "for early stopping")
-    if cfg.kind == "C":
-        usable = max(1, int(round(cfg.train_fraction * dataset.train_nodes.size)))
-        if cfg.s > usable:
-            raise ConfigError(f"s={cfg.s} exceeds the {usable} usable training nodes")
+    usable = _training_count(cfg, dataset.train_nodes.size)
+    if cfg.kind == "C" and cfg.s > usable:
+        raise ConfigError(f"s={cfg.s} exceeds the {usable} usable training nodes")
     sigma = resolve_sigma(cfg)
     outcomes = []
     for seed in cfg.seeds:

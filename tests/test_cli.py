@@ -10,7 +10,7 @@ import pytest
 
 import dpgcn.cli
 from dpgcn.cli import main
-from dpgcn.data import load_dataset
+from dpgcn.data import load_dataset, save_dataset
 
 
 SPEC_TEXT = (
@@ -213,6 +213,24 @@ def test_run_on_split_piece_without_val_or_test_exits_2(synth_dir, tmp_path,
     assert main(["run", "--config", str(config),
                  "--out", str(tmp_path / "results")]) == 2
     assert "no test nodes" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("kind", ["A", "C"])
+@pytest.mark.parametrize("train_fraction", [0.5, 1.0])
+def test_run_without_training_nodes_exits_2(synth_dir, tmp_path, capsys, kind,
+                                            train_fraction):
+    ds = load_dataset(str(synth_dir))
+    ds.train_nodes = np.empty(0, dtype=np.int64)
+    save_dataset(ds, str(tmp_path / "untrained"))
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset = {tmp_path / 'untrained'}\nkind = {kind}\n"
+                      f"s = {2 if kind == 'C' else 1}\n"
+                      f"lot_size = {2 if kind == 'C' else 1}\n"
+                      f"train_fraction = {train_fraction}\nmax_epochs = 2\n")
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "results")]) == 2
+    assert f"dataset '{ds.name}' has no training nodes" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 

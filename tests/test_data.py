@@ -60,7 +60,7 @@ def assert_dataset_equal(a, b):
 def test_load_three_node_fixture(tmp_path):
     ds = load_dataset(write_fixture(tmp_path / "fix"))
     assert ds.num_nodes == 3 and ds.num_classes == 2
-    assert ds.graph.num_edges == 2
+    assert ds.graph.nnz // 2 == 2
     assert np.array_equal(ds.features[1], [0.0, 2.0])
     assert np.array_equal(ds.labels, [0, 1, 0])
     assert np.array_equal(ds.train_nodes, [0])
@@ -129,7 +129,15 @@ def _meta_size(value):
                                                           b'"num_nodes": ' + value))
 
 
+def _zero_features(root):
+    meta = json.loads((root / "meta.json").read_text())
+    meta.update(feature_dim=0, feature_kind="sparse")
+    (root / "meta.json").write_text(json.dumps(meta))
+    (root / "features.tsv").write_text("")
+
+
 BROKEN_FILES = {
+    "features-zero-columns": _zero_features,
     "meta-bad-json": _rewrite("meta.json", lambda raw: raw[:-3]),
     "meta-bare-number": _rewrite("meta.json", lambda raw: b"3\n"),
     "meta-size-string": _meta_size(b'"x"'),
@@ -257,7 +265,7 @@ def test_save_empty_edge_graph(tmp_path):
     save_dataset(ds, str(tmp_path / "out"))
     assert (tmp_path / "out" / "edges.tsv").read_text() == ""
     loaded = load_dataset(str(tmp_path / "out"))
-    assert loaded.graph.num_edges == 0
+    assert loaded.graph.nnz // 2 == 0
 
 
 def test_save_sparse_round_trip(tmp_path):
@@ -292,14 +300,14 @@ def test_synth_intra_edge_count_binomial():
     # sd = sqrt(2450 * 0.2 * 0.8) ~ 19.8
     spec = SynthSpec((50, 50), 0.2, 0.0, feature_dim=4, seed=3)
     ds = generate_synthetic(spec)
-    count = ds.graph.num_edges
+    count = ds.graph.nnz // 2
     assert abs(count - 490) <= 3.0 * np.sqrt(2450 * 0.2 * 0.8)
 
 
 def test_synth_inter_zero_means_disconnected_blocks():
     ds = generate_synthetic(SynthSpec((30, 30, 30), 0.2, 0.0, feature_dim=2, seed=5))
     for i in range(ds.num_nodes):
-        for j in ds.graph.neighbors(i):
+        for j in ds.graph[i].indices:
             assert ds.labels[i] == ds.labels[j]
 
 
@@ -307,7 +315,7 @@ def test_synth_inter_edge_count_binomial():
     spec = SynthSpec((40, 40), 0.0, 0.1, feature_dim=2, seed=9)
     ds = generate_synthetic(spec)
     mean, var = 1600 * 0.1, 1600 * 0.1 * 0.9
-    assert abs(ds.graph.num_edges - mean) <= 3.0 * np.sqrt(var)
+    assert abs(ds.graph.nnz // 2 - mean) <= 3.0 * np.sqrt(var)
 
 
 def test_synth_same_seed_identical():

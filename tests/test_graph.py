@@ -13,15 +13,15 @@ from dpgcn.rng import Prng
 # ---- oracles ----
 
 def dense_adjacency(graph):
-    a = np.zeros((graph.num_nodes, graph.num_nodes))
-    for i in range(graph.num_nodes):
-        a[i, graph.neighbors(i)] = 1.0
+    a = np.zeros(graph.shape)
+    for i in range(graph.shape[0]):
+        a[i, graph[i].indices] = 1.0
     return a
 
 
 def dense_normalized(graph):
     """Brute force D^-1/2 (A + I) D^-1/2 on a dense matrix."""
-    a_hat = dense_adjacency(graph) + np.eye(graph.num_nodes)
+    a_hat = dense_adjacency(graph) + np.eye(graph.shape[0])
     d = a_hat.sum(axis=1)
     inv = np.diag(1.0 / np.sqrt(d))
     return inv @ a_hat @ inv
@@ -39,21 +39,23 @@ def random_graph(n, num_edges, seed):
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     take = rng.choice(len(pairs), size=min(num_edges, len(pairs)), replace=False)
-    return build_graph(n, [pairs[t] for t in take])
+    edges = [pairs[t] for t in take]
+    # every edge again reversed, and every other one repeated as given
+    return build_graph(n, edges + [(j, i) for i, j in edges] + edges[::2])
 
 
 # ---- build_graph ----
 
 def test_build_single_node():
     g = build_graph(1, [])
-    assert g.num_nodes == 1 and g.indices.size == 0
+    assert g.shape[0] == 1 and g.indices.size == 0
 
 
 def test_build_one_edge_symmetry():
     g = build_graph(2, [(0, 1)])
     assert np.array_equal(g.indptr, [0, 1, 2])
     assert np.array_equal(g.indices, [1, 0])
-    assert g.num_edges == 1
+    assert g.nnz // 2 == 1
 
 
 def test_build_dedups_both_orientations():
@@ -77,7 +79,7 @@ def test_build_errors():
 
 def test_build_sorted_rows():
     g = build_graph(5, [(0, 4), (0, 2), (0, 1), (3, 0)])
-    assert np.array_equal(g.neighbors(0), [1, 2, 3, 4])
+    assert np.array_equal(g[0].indices, [1, 2, 3, 4])
 
 
 # ---- normalize_adjacency ----
@@ -127,9 +129,9 @@ def test_normalize_exact_symmetry_and_positive_diagonal():
 def test_normalize_row_sum_formula():
     g = random_graph(7, 10, 5)
     adj = normalize_adjacency(g)
-    d = g.degrees() + 1.0
+    d = np.diff(g.indptr) + 1.0
     for i in range(7):
-        neigh = np.append(g.neighbors(i), i)
+        neigh = np.append(g[i].indices, i)
         want = np.sum(1.0 / np.sqrt(d[i] * d[neigh]))
         lo, hi = adj.indptr[i], adj.indptr[i + 1]
         assert adj.data[lo:hi].sum() == pytest.approx(want, rel=1e-12)
@@ -236,8 +238,8 @@ def test_mask_drops_bridge_keeps_triangles():
     part = Partition(2, np.arange(6), np.array([0, 0, 0, 1, 1, 1]))
     for k in range(2):
         sub = mask_subgraph(g, feats, labels, part, k)
-        assert sub.graph.num_nodes == 3
-        assert sub.graph.num_edges == 3  # the triangle, bridge gone
+        assert sub.graph.shape[0] == 3
+        assert sub.graph.nnz // 2 == 3  # the triangle, bridge gone
         assert np.array_equal(sub.node_ids, [0, 1, 2] if k == 0 else [3, 4, 5])
         assert np.array_equal(sub.features, feats[sub.node_ids])
         assert np.array_equal(sub.labels, labels[sub.node_ids])
@@ -247,22 +249,22 @@ def test_mask_triangle_partial():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     part = Partition(2, np.arange(3), np.array([0, 0, 1]))
     sub = mask_subgraph(g, np.zeros((3, 1)), np.zeros(3, dtype=int), part, 0)
-    assert sub.graph.num_nodes == 2 and sub.graph.num_edges == 1
-    assert np.array_equal(sub.graph.neighbors(0), [1])
+    assert sub.graph.shape[0] == 2 and sub.graph.nnz // 2 == 1
+    assert np.array_equal(sub.graph[0].indices, [1])
 
 
 def test_mask_singleton():
     g = build_graph(2, [(0, 1)])
     part = Partition(2, np.arange(2), np.array([0, 1]))
     sub = mask_subgraph(g, np.zeros((2, 1)), np.zeros(2, dtype=int), part, 1)
-    assert sub.graph.num_nodes == 1 and sub.graph.indices.size == 0
+    assert sub.graph.shape[0] == 1 and sub.graph.indices.size == 0
 
 
 def test_mask_preserves_fully_contained_edges():
     g = _two_triangles()
     part = Partition(1, np.arange(6), np.zeros(6, dtype=int))
     sub = mask_subgraph(g, np.zeros((6, 1)), np.zeros(6, dtype=int), part, 0)
-    assert sub.graph.num_edges == g.num_edges
+    assert sub.graph.nnz // 2 == g.nnz // 2
 
 
 def test_mask_index_error():
@@ -278,18 +280,21 @@ def test_mask_no_cross_edges_property(seed, s):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(s, 15))
     g = random_graph(n, int(rng.integers(0, 2 * n)), seed)
+    # the format: symmetric 0/1 CSR, repeats merged, indices sorted
+    assert (g.data == 1.0).all() and g.has_canonical_format
+    assert (g != g.T).nnz == 0
     part = random_partition(np.arange(n), s, Prng(seed))
     assign = np.empty(n, dtype=int)
     assign[part.nodes] = part.assignment
     kept = 0
     for k in range(s):
         sub = mask_subgraph(g, np.zeros((n, 1)), np.zeros(n, dtype=int), part, k)
-        kept += sub.graph.num_edges
-        for new_i in range(sub.graph.num_nodes):
-            for new_j in sub.graph.neighbors(new_i):
+        kept += sub.graph.nnz // 2
+        for new_i in range(sub.graph.shape[0]):
+            for new_j in sub.graph[new_i].indices:
                 gi, gj = sub.node_ids[new_i], sub.node_ids[new_j]
                 assert assign[gi] == assign[gj] == k
     # kept edges are exactly those with both endpoints in one subgraph
-    want = sum(1 for i in range(n) for j in g.neighbors(i)
+    want = sum(1 for i in range(n) for j in g[i].indices
                if i < j and assign[i] == assign[j])
     assert kept == want
