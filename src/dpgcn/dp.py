@@ -39,7 +39,8 @@ def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     grad = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
-    return grad / max(1.0, float(np.linalg.norm(grad)) / clip_norm)
+    norm = math.sqrt(float(grad.dot(grad)))  # what np.linalg.norm computes
+    return grad / max(1.0, norm / clip_norm)
 
 
 def noisy_lot_gradient(per_example_grads, spec: DpNoiseSpec,
@@ -80,13 +81,28 @@ class AdamState:
 
 def adam_step(state: AdamState, params: GcnParams, grad: np.ndarray,
               lr: float) -> None:
-    """Bias-corrected Adam update, mutating state and params."""
+    """Bias-corrected Adam update, mutating state and params.
+
+    m and v are updated in place. Every product and quotient is the one
+    the textbook formula evaluates, in the same order, so the update is
+    bit-identical to it.
+    """
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params.add_flat(-lr * m_hat / (np.sqrt(v_hat) + state.eps_hat))
+    b1, b2 = state.beta1, state.beta2
+    scratch = np.multiply(1.0 - b1, grad)
+    state.m *= b1
+    state.m += scratch
+    np.multiply(1.0 - b2, grad, out=scratch)
+    scratch *= grad
+    state.v *= b2
+    state.v += scratch
+    denom = np.divide(state.v, 1.0 - b2 ** state.t, out=scratch)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += state.eps_hat
+    step = state.m / (1.0 - b1 ** state.t)  # m_hat
+    step *= -lr
+    step /= denom
+    params.add_flat(step)
 
 
 def sample_lot(num_examples: int, lot_size: int, rng: Prng) -> np.ndarray:

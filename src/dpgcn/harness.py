@@ -23,13 +23,15 @@ import scipy.sparse as sp
 
 from . import __version__
 from . import rng as streams
-from .accounting import AccountantLedger, calibrate_noise, privacy_spent
+from .accounting import (DEFAULT_MOMENT_ORDERS, AccountantLedger,
+                         calibrate_noise, privacy_spent)
 from .data import Dataset, load_dataset
 from .dp import (AdamState, DpNoiseSpec, adam_step, noisy_lot_gradient,
                  sample_lot, sgd_step)
 from .graph import mask_subgraph, normalize_adjacency, random_partition, spmm
 from .model import (GcnParams, Metrics, backward, evaluate, forward,
-                    init_params, macro_f1, masked_cross_entropy)
+                    init_params, macro_f1, masked_cross_entropy,
+                    masked_log_probs)
 from .rng import Prng
 
 _OPTIMIZERS = ("sgd", "adam", "sgd-dp", "adam-dp")
@@ -299,11 +301,13 @@ class _Trainer:
         ex = self.examples[k]
         trace = forward(self.params, ex.adj, ex.features, self.cfg.dropout,
                         training=True, rng=self.rng_drop, ax=ex.ax)
-        loss = masked_cross_entropy(trace.logits, ex.labels, ex.mask)
+        log_probs = masked_log_probs(trace.logits, ex.labels, ex.mask)
+        loss = masked_cross_entropy(trace.logits, ex.labels, ex.mask,
+                                    log_probs=log_probs)
         _require_finite(loss, "loss", epoch)
         self.last_loss = loss
         grad = backward(self.params, trace, ex.adj, ex.features, ex.labels,
-                        ex.mask)
+                        ex.mask, log_probs=log_probs)
         if not np.isfinite(grad).all():
             raise TrainingDiverged(f"non-finite gradient at epoch {epoch}")
         return grad
@@ -430,6 +434,11 @@ def run_experiment(config: ExperimentConfig,
         "privacy_unit": {"B": "the whole training graph as one example",
                          "C": "one subgraph of a fixed partition"}.get(cfg.kind),
         "sampler": "fixed-size lots, accounted as Poisson" if cfg.is_dp else None,
+        # a seed's epsilon is minimized at an end of the moment-order grid,
+        # so a wider grid could report a smaller epsilon
+        "grid_edge": any(o.moment_order in (DEFAULT_MOMENT_ORDERS[0],
+                                            DEFAULT_MOMENT_ORDERS[-1])
+                         for o in good) if cfg.is_dp else None,
         "versions": {"dpgcn": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
     }

@@ -3,7 +3,9 @@
 Forward: Z0 = A X W0, H1 = dropout(relu(Z0)), logits = A H1 W1, where A is
 the normalized adjacency. No biases; softmax lives inside the loss. A and X
 stay fixed during training, so callers may pass the product A X once
-computed as ``ax`` to forward and evaluate.
+computed as ``ax`` to forward and evaluate. Likewise the loss and its
+gradient share one masked_log_probs result, passed to both as
+``log_probs``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def forward(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
         keep_scale = (rng.uniform(h.shape) >= dropout) / (1.0 - dropout)
     else:
         keep_scale = np.ones_like(h)
-    h = h * keep_scale
+    h *= keep_scale
     logits = spmm(adj, h) @ params.w1
     return ForwardTrace(z0, h, logits, keep_scale)
 
@@ -92,35 +94,67 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray,
-                         mask) -> float:
-    """Mean negative log-likelihood over the masked nodes."""
+def masked_log_probs(logits: np.ndarray, labels: np.ndarray,
+                     mask) -> np.ndarray:
+    """Log-softmax of the masked rows of logits, one row per mask entry.
+
+    Checks that the mask is non-empty and that every masked label is a
+    class of logits.
+    """
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
     y = np.asarray(labels)[mask]
     if y.min() < 0 or y.max() >= logits.shape[1]:
         raise ValueError("label out of range on a masked node")
-    lp = _log_softmax(logits[mask])
-    return float(-lp[np.arange(mask.size), y].mean())
+    return _log_softmax(logits[mask])
+
+
+def _check_log_probs(log_probs: np.ndarray, mask: np.ndarray,
+                     logits: np.ndarray) -> None:
+    """log_probs must have masked_log_probs' shape for this mask."""
+    if mask.size == 0 or log_probs.shape != (mask.size, logits.shape[1]):
+        raise ValueError("log_probs do not match the mask and logits")
+
+
+def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask, *,
+                         log_probs: np.ndarray | None = None) -> float:
+    """Mean negative log-likelihood over the masked nodes.
+
+    ``log_probs`` is masked_log_probs(logits, labels, mask) if given.
+    """
+    if log_probs is None:
+        log_probs = masked_log_probs(logits, labels, mask)
+    mask = np.asarray(mask, dtype=np.int64)
+    _check_log_probs(log_probs, mask, logits)
+    y = np.asarray(labels)[mask]
+    return float(-(log_probs[np.arange(mask.size), y].sum() / mask.size))
 
 
 def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
-             features: np.ndarray, labels: np.ndarray, mask) -> np.ndarray:
-    """Flat gradient (w0 then w1) of the masked loss at the traced point."""
+             features: np.ndarray, labels: np.ndarray, mask, *,
+             log_probs: np.ndarray | None = None) -> np.ndarray:
+    """Flat gradient (w0 then w1) of the masked loss at the traced point.
+
+    ``log_probs`` is masked_log_probs(trace.logits, labels, mask) if given.
+    """
+    if log_probs is None:
+        log_probs = masked_log_probs(trace.logits, labels, mask)
     mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
+    _check_log_probs(log_probs, mask, trace.logits)
     n, k = trace.logits.shape
-    p = np.exp(_log_softmax(trace.logits[mask]))
+    p = np.exp(log_probs)
     p[np.arange(mask.size), np.asarray(labels)[mask]] -= 1.0
     g1 = np.zeros((n, k))
     g1[mask] = p / mask.size
     ag1 = spmm(adj, g1)  # A is symmetric, so this is A^T g1
-    grad_w1 = trace.hidden.T @ ag1
+    grad = np.empty(params.size)
+    split = params.w0.size
+    np.matmul(trace.hidden.T, ag1, out=grad[split:].reshape(params.w1.shape))
     g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
-    grad_w0 = np.asarray(features, dtype=np.float64).T @ spmm(adj, g0)
-    return np.concatenate([grad_w0.ravel(), grad_w1.ravel()])
+    np.matmul(np.asarray(features, dtype=np.float64).T, spmm(adj, g0),
+              out=grad[:split].reshape(params.w0.shape))
+    return grad
 
 
 def evaluate(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,

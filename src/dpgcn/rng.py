@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # stream ids let one experiment seed feed several independent consumers
@@ -34,13 +36,16 @@ class Prng:
         """Centered Gaussian draws with the given standard deviation."""
         shape = () if size is None else (
             (size,) if np.isscalar(size) else tuple(size))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         half = (n + 1) // 2
-        u1 = 1.0 - self._gen.random(half)  # (0, 1], keeps log finite
-        u2 = self._gen.random(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
-                            radius * np.sin(2.0 * np.pi * u2)])[:n]
+        # one draw of 2*half uniforms is the stream of two draws of half
+        u = self._gen.random(2 * half)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:half]))  # 1 - u in (0, 1]
+        angle = 2.0 * np.pi * u[half:]
+        z = np.empty(2 * half)
+        np.multiply(radius, np.cos(angle), out=z[:half])
+        np.multiply(radius, np.sin(angle), out=z[half:])
+        z = z[:n]
         z *= std
         return float(z[0]) if size is None else z.reshape(shape)
 

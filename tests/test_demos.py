@@ -18,3 +18,5 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    # a demo's temporary directories are gone when it ends
+    assert not list(tmp_path.glob("dpgcn-demo-*"))

@@ -63,6 +63,16 @@ def test_clip_direction_preserved(c):
     assert np.allclose(out, unit * scale, rtol=1e-12)
 
 
+def test_clip_bitwise_equals_linalg_norm_formula():
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 7, 672, 20_576):
+        for scale in (0.0, 1e-300, 1e-3, 1.0, 1e3, 1e150):
+            g = rng.normal(size=dim) * scale
+            for c in (1e-3, 0.5, 1.0, 4.0):
+                want = g / max(1.0, np.linalg.norm(g) / c)
+                assert np.array_equal(clip_gradient(g, c), want), (dim, scale, c)
+
+
 # ---- noisy_lot_gradient ----
 
 def test_noisy_sigma_zero_is_clipped_mean():
@@ -235,6 +245,28 @@ def test_adam_moment_recurrence():
     assert state.m[0] == pytest.approx(0.9 * 0.2 + 0.1 * (-1.0), rel=1e-12)
     assert state.v[0] == pytest.approx(0.999 * 0.004 + 0.001 * 1.0, rel=1e-12)
     assert state.t == 2
+
+
+def test_adam_bitwise_equals_out_of_place_formula():
+    # the textbook update, one new array per operation, as the reference
+    rng = np.random.default_rng(23)
+    p = params_from(rng.normal(size=(6, 5)), rng.normal(size=(5, 3)))
+    want_params = p.flatten()
+    state = AdamState.zeros(p.size)
+    m, v = np.zeros(p.size), np.zeros(p.size)
+    b1, b2, eps = state.beta1, state.beta2, state.eps_hat
+    for t in range(1, 51):
+        g = rng.normal(size=p.size) * 10.0 ** rng.uniform(-6, 3)
+        lr = float(rng.choice([1e-3, 0.01, 0.3]))
+        adam_step(state, p, g, lr)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        want_params += -lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.t == t
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(p.flatten(), want_params), t
 
 
 # ---- sample_lot ----

@@ -510,6 +510,39 @@ def test_run_metadata_says_what_epsilon_covers(sbm, kind, optimizer, unit):
                                 "scipy": scipy.__version__}
 
 
+@pytest.mark.parametrize("kind, optimizer, sigma, epochs, edge", [
+    ("A", "adam", None, 2, None),
+    ("B", "adam-dp", 2.0, 10, False),  # epsilon minimized at order 3
+    ("B", "adam-dp", 4.0, 500, True),  # epsilon 42.76 at order 1
+], ids=["A", "interior", "first-order"])
+def test_run_metadata_flags_grid_edge(sbm, kind, optimizer, sigma, epochs, edge):
+    cfg = ExperimentConfig(kind=kind, optimizer=optimizer, sigma=sigma,
+                           max_epochs=epochs, seeds=(0, 1))
+    record = run_experiment(cfg, dataset=sbm)
+    assert record.metadata["grid_edge"] is edge
+    if edge:
+        assert record.seeds[0].moment_order == 1
+        assert record.aggregate["epsilon"] == pytest.approx(42.76, abs=5e-3)
+
+
+def test_dp_step_computes_one_log_softmax_per_example(sbm, monkeypatch):
+    # the loss and its gradient share one masked log-softmax per example
+    cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=2, lot_size=2,
+                           sigma=2.0, max_epochs=1, seeds=(0,)).finalized()
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=2.0)
+    calls = []
+    real = model_mod._log_softmax
+
+    def counting(logits):
+        calls.append(logits.shape)
+        return real(logits)
+
+    monkeypatch.setattr(model_mod, "_log_softmax", counting)
+    trainer.run_epoch(1)
+    assert cfg.steps_per_epoch == 1 and trainer.ledger.total_steps == 1
+    assert len(calls) == 2
+
+
 def test_trainer_non_dp_keeps_empty_ledger(sbm):
     cfg = cfg_a(seeds=(0,)).finalized()
     trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)

@@ -3,7 +3,7 @@ import pytest
 
 from dpgcn.graph import build_graph, normalize_adjacency, spmm
 from dpgcn.model import (GcnParams, backward, evaluate, forward, init_params,
-                         macro_f1, masked_cross_entropy)
+                         macro_f1, masked_cross_entropy, masked_log_probs)
 from dpgcn.rng import Prng, STREAM_DROPOUT
 
 
@@ -289,6 +289,111 @@ def test_backward_dropout_mask_respected():
     g1 = backward(params, t1, adj, feats, labels, mask)
     g2 = backward(params, t2, adj, feats, labels, mask)
     assert not np.array_equal(g1, g2)
+
+
+# ---- shared log-probabilities: bitwise against the textbook formulas ----
+
+def reference_forward(params, adj, feats, dropout, rng):
+    h = np.maximum(spmm(adj, feats) @ params.w0, 0.0)
+    keep_scale = (rng.uniform(h.shape) >= dropout) / (1.0 - dropout)
+    h = h * keep_scale
+    return h, spmm(adj, h) @ params.w1
+
+
+def reference_log_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def reference_cross_entropy(logits, labels, mask):
+    lp = reference_log_softmax(logits[mask])
+    return float(-lp[np.arange(mask.size), labels[mask]].mean())
+
+
+def reference_backward(params, trace, adj, feats, labels, mask):
+    n, k = trace.logits.shape
+    p = np.exp(reference_log_softmax(trace.logits[mask]))
+    p[np.arange(mask.size), labels[mask]] -= 1.0
+    g1 = np.zeros((n, k))
+    g1[mask] = p / mask.size
+    ag1 = spmm(adj, g1)
+    grad_w1 = trace.hidden.T @ ag1
+    g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
+    grad_w0 = feats.T @ spmm(adj, g0)
+    return np.concatenate([grad_w0.ravel(), grad_w1.ravel()])
+
+
+SHARED_CASES = [
+    (9, 7, 6, 3, 41, np.array([0, 2, 3, 5, 8])),
+    (12, 5, 8, 4, 43, np.arange(12)),
+    (6, 4, 5, 3, 47, np.array([4])),
+    # duplicates: the loss counts a repeated node once per entry, while
+    # backward, like the reference, assigns its gradient row only once
+    (8, 6, 4, 3, 53, np.array([1, 1, 6, 3, 6, 6])),
+]
+
+
+@pytest.mark.parametrize("n, d, h, k, seed, mask", SHARED_CASES,
+                         ids=["subset", "all", "single", "duplicates"])
+def test_loss_and_backward_bitwise_with_and_without_log_probs(n, d, h, k, seed,
+                                                              mask):
+    adj, feats, labels, params = tiny_setup(n, d, h, k, seed, extra_edges=2 * n)
+    trace = forward(params, adj, feats, dropout=0.5, training=True,
+                    rng=Prng(seed, stream=STREAM_DROPOUT))
+    hidden, logits = reference_forward(params, adj, feats, 0.5,
+                                       Prng(seed, stream=STREAM_DROPOUT))
+    assert np.array_equal(trace.hidden, hidden)
+    assert np.array_equal(trace.logits, logits)
+
+    log_probs = masked_log_probs(trace.logits, labels, mask)
+    assert np.array_equal(log_probs, reference_log_softmax(trace.logits[mask]))
+    want_loss = reference_cross_entropy(trace.logits, labels, mask)
+    assert masked_cross_entropy(trace.logits, labels, mask) == want_loss
+    assert masked_cross_entropy(trace.logits, labels, mask,
+                                log_probs=log_probs) == want_loss
+
+    want_grad = reference_backward(params, trace, adj, feats, labels, mask)
+    plain = backward(params, trace, adj, feats, labels, mask)
+    shared = backward(params, trace, adj, feats, labels, mask,
+                      log_probs=log_probs)
+    assert plain.dtype == shared.dtype == np.float64
+    assert np.array_equal(plain, want_grad)
+    assert np.array_equal(shared, want_grad)
+    # backward reads log_probs and leaves it as it was
+    assert np.array_equal(log_probs, reference_log_softmax(trace.logits[mask]))
+
+
+def test_masked_log_probs_errors():
+    logits = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="empty mask"):
+        masked_log_probs(logits, np.array([0, 1]), np.array([], dtype=int))
+    for labels in (np.array([0, 2]), np.array([0, -1])):
+        with pytest.raises(ValueError, match="label out of range"):
+            masked_log_probs(logits, labels, np.array([1]))
+
+
+def test_backward_errors():
+    adj, feats, labels, params = tiny_setup(3, 2, 4, 2, 59)
+    trace = forward(params, adj, feats)
+    with pytest.raises(ValueError, match="empty mask"):
+        backward(params, trace, adj, feats, labels, np.array([], dtype=int))
+    with pytest.raises(ValueError, match="label out of range"):
+        backward(params, trace, adj, feats, np.array([0, 1, 2]), np.array([2]))
+
+
+def test_log_probs_must_match_mask():
+    adj, feats, labels, params = tiny_setup(4, 2, 4, 3, 61)
+    trace = forward(params, adj, feats)
+    mask = np.array([0, 3])
+    log_probs = masked_log_probs(trace.logits, labels, mask)
+    empty = np.array([], dtype=int)
+    for bad_mask, bad in ((np.array([0, 1, 3]), log_probs),
+                          (mask, log_probs[:, :2]),
+                          (empty, log_probs[:0])):
+        with pytest.raises(ValueError, match="log_probs do not match"):
+            masked_cross_entropy(trace.logits, labels, bad_mask, log_probs=bad)
+        with pytest.raises(ValueError, match="log_probs do not match"):
+            backward(params, trace, adj, feats, labels, bad_mask, log_probs=bad)
 
 
 # ---- evaluate / macro_f1 ----

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dpgcn.rng import Prng
 
@@ -52,3 +53,35 @@ def test_sample_without_replacement():
     assert np.array_equal(ids, np.unique(ids))  # sorted and distinct
     assert ids.min() >= 0 and ids.max() < 10
     assert r.sample_without_replacement(5, 0).size == 0
+
+
+def two_call_box_muller(gen, size, std):
+    """Box-Muller with u1 and u2 drawn by two calls, as the reference."""
+    shape = () if size is None else (
+        (size,) if np.isscalar(size) else tuple(size))
+    n = int(np.prod(shape)) if shape else 1
+    half = (n + 1) // 2
+    u1 = 1.0 - gen.random(half)
+    u2 = gen.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
+                        radius * np.sin(2.0 * np.pi * u2)])[:n]
+    z *= std
+    return float(z[0]) if size is None else z.reshape(shape)
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, 7, 592, (3, 4)],
+                         ids=["None", "0", "1", "7", "592", "3x4"])
+def test_normal_bitwise_equals_two_call_box_muller(size):
+    seed, stream = 29, 3
+    prng = Prng(seed, stream)
+    gen = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+    # three draws in a row: each must leave the stream where the reference does
+    for std in (1.0, 2.5, 0.1):
+        got, want = prng.normal(size, std=std), two_call_box_muller(gen, size, std)
+        if size is None:
+            assert isinstance(got, float) and got == want
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert prng.uniform() == gen.random()
