@@ -99,8 +99,6 @@ def log_moment(q: float, sigma: float, lam: int) -> float:
     """Per-step log moment of order lam; exact at q = 1 and, by expansion, below."""
     if lam < 1:
         raise ValueError("moment order must be at least 1")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("sampling ratio must be in (0, 1]")
     if q == 1.0:
         return gaussian_log_moment(sigma, lam)
     return subsampled_log_moment(q, sigma, int(lam))
@@ -138,7 +136,7 @@ def delta_from_eps(ledger: AccountantLedger, epsilon: float) -> float:
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     orders = np.asarray(ledger.moment_orders, dtype=np.float64)
-    totals = compose(ledger) if ledger.records else np.zeros(orders.size)
+    totals = compose(ledger)
     exponent = float((totals - orders * epsilon).min())
     if exponent >= 0.0:
         return 1.0
@@ -151,14 +149,11 @@ def calibrate_noise(target_epsilon: float, delta: float, q: float,
     """Smallest sigma on a 0.01 grid meeting the epsilon target.
 
     Bisects on sigma = k/100 using monotonicity of epsilon in sigma;
-    raises if even sigma = 1e6 cannot reach the target.
+    raises if even sigma = 1e6 cannot reach the target. The ledger and
+    privacy_spent check q, steps and delta on the first evaluation.
     """
     if not 0 < target_epsilon < math.inf:
         raise ValueError("target epsilon must be positive and finite")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if steps < 1:
-        raise ValueError("steps must be positive")
 
     def eps_at(k: int) -> float:
         ledger = AccountantLedger(moment_orders=moment_orders)

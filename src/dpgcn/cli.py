@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on dataset errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -80,13 +79,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_account(args) -> int:
-    if not 0.0 < args.q <= 1.0:
-        raise ConfigError("q must be in (0, 1]")
-    if not 0 < args.sigma < math.inf or args.steps < 1 or not 0.0 < args.delta < 1.0:
-        raise ConfigError("need finite sigma > 0, steps >= 1, delta in (0, 1)")
     ledger = AccountantLedger()
-    ledger.append(args.q, args.sigma, args.steps)
-    eps, order = privacy_spent(ledger, args.delta)
+    try:
+        ledger.append(args.q, args.sigma, args.steps)
+        eps, order = privacy_spent(ledger, args.delta)
+    except ValueError as exc:  # the ledger's checks on q, sigma, steps, delta
+        raise ConfigError(str(exc)) from exc
     print(f"epsilon={eps:.6f} moment_order={order} "
           f"(q={args.q} sigma={args.sigma} steps={args.steps} delta={args.delta})")
     return 0

@@ -299,11 +299,10 @@ class _Trainer:
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
         ex = self.examples[k]
-        trace = forward(self.params, ex.adj, ex.features, self.cfg.dropout,
-                        training=True, rng=self.rng_drop, ax=ex.ax)
+        trace = forward(self.params, ex.adj, ax=ex.ax, dropout=self.cfg.dropout,
+                        training=True, rng=self.rng_drop)
         log_probs = masked_log_probs(trace.logits, ex.labels, ex.mask)
-        loss = masked_cross_entropy(trace.logits, ex.labels, ex.mask,
-                                    log_probs=log_probs)
+        loss = masked_cross_entropy(ex.labels, ex.mask, log_probs=log_probs)
         _require_finite(loss, "loss", epoch)
         self.last_loss = loss
         grad = backward(self.params, trace, ex.adj, ex.features, ex.labels,
@@ -335,7 +334,7 @@ class _Trainer:
     def metrics(self, params: GcnParams, nodes) -> Metrics:
         """params scored on the given nodes of the full graph."""
         f = self.full
-        return evaluate(params, f.adj, f.features, f.labels, nodes, ax=f.ax)
+        return evaluate(params, f.adj, f.labels, nodes, ax=f.ax)
 
     def val_score(self) -> float:
         return self.metrics(self.params, self.ds.val_nodes).micro_f1

@@ -2,9 +2,9 @@
 
 Forward: Z0 = A X W0, H1 = dropout(relu(Z0)), logits = A H1 W1, where A is
 the normalized adjacency. No biases; softmax lives inside the loss. A and X
-stay fixed during training, so callers may pass the product A X once
-computed as ``ax`` to forward and evaluate. Likewise the loss and its
-gradient share one masked_log_probs result, passed to both as
+stay fixed during training, so forward and evaluate take the product A X,
+computed once by the caller, as the required ``ax``. The loss and its
+gradient share one masked_log_probs result, passed to both as the required
 ``log_probs``.
 """
 
@@ -69,14 +69,13 @@ def init_params(feature_dim: int, hidden: int, num_classes: int,
     return GcnParams(glorot(feature_dim, hidden), glorot(hidden, num_classes))
 
 
-def forward(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
+def forward(params: GcnParams, adj: sp.csr_matrix, *, ax: np.ndarray,
             dropout: float = 0.0, training: bool = False,
-            rng: Prng | None = None, *, ax: np.ndarray | None = None
-            ) -> ForwardTrace:
-    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features) if given."""
+            rng: Prng | None = None) -> ForwardTrace:
+    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features)."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    z0 = (spmm(adj, features) if ax is None else ax) @ params.w0
+    z0 = ax @ params.w0
     h = np.maximum(z0, 0.0)
     if training and dropout > 0.0:
         if rng is None:
@@ -110,43 +109,40 @@ def masked_log_probs(logits: np.ndarray, labels: np.ndarray,
     return _log_softmax(logits[mask])
 
 
-def _check_log_probs(log_probs: np.ndarray, mask: np.ndarray,
-                     logits: np.ndarray) -> None:
-    """log_probs must have masked_log_probs' shape for this mask."""
-    if mask.size == 0 or log_probs.shape != (mask.size, logits.shape[1]):
-        raise ValueError("log_probs do not match the mask and logits")
+def _check_log_probs(log_probs: np.ndarray, mask: np.ndarray) -> None:
+    """log_probs must be 2-D with one row per entry of a non-empty mask."""
+    if mask.size == 0 or log_probs.ndim != 2 or log_probs.shape[0] != mask.size:
+        raise ValueError("log_probs do not match the mask")
 
 
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask, *,
-                         log_probs: np.ndarray | None = None) -> float:
+def masked_cross_entropy(labels: np.ndarray, mask, *,
+                         log_probs: np.ndarray) -> float:
     """Mean negative log-likelihood over the masked nodes.
 
-    ``log_probs`` is masked_log_probs(logits, labels, mask) if given.
+    ``log_probs`` is masked_log_probs(logits, labels, mask).
     """
-    if log_probs is None:
-        log_probs = masked_log_probs(logits, labels, mask)
     mask = np.asarray(mask, dtype=np.int64)
-    _check_log_probs(log_probs, mask, logits)
+    _check_log_probs(log_probs, mask)
     y = np.asarray(labels)[mask]
     return float(-(log_probs[np.arange(mask.size), y].sum() / mask.size))
 
 
 def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
              features: np.ndarray, labels: np.ndarray, mask, *,
-             log_probs: np.ndarray | None = None) -> np.ndarray:
+             log_probs: np.ndarray) -> np.ndarray:
     """Flat gradient (w0 then w1) of the masked loss at the traced point.
 
-    ``log_probs`` is masked_log_probs(trace.logits, labels, mask) if given.
+    ``log_probs`` is masked_log_probs(trace.logits, labels, mask).
     """
-    if log_probs is None:
-        log_probs = masked_log_probs(trace.logits, labels, mask)
     mask = np.asarray(mask, dtype=np.int64)
-    _check_log_probs(log_probs, mask, trace.logits)
-    n, k = trace.logits.shape
+    _check_log_probs(log_probs, mask)
+    n, k = trace.logits.shape[0], log_probs.shape[1]
     p = np.exp(log_probs)
     p[np.arange(mask.size), np.asarray(labels)[mask]] -= 1.0
-    g1 = np.zeros((n, k))
-    g1[mask] = p / mask.size
+    p /= mask.size
+    # scatter-add, so a node repeated in the mask counts once per entry
+    flat = (mask[:, None] * k + np.arange(k)).ravel()
+    g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
     ag1 = spmm(adj, g1)  # A is symmetric, so this is A^T g1
     grad = np.empty(params.size)
     split = params.w0.size
@@ -157,14 +153,13 @@ def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
     return grad
 
 
-def evaluate(params: GcnParams, adj: sp.csr_matrix, features: np.ndarray,
-             labels: np.ndarray, mask, *, ax: np.ndarray | None = None
-             ) -> Metrics:
+def evaluate(params: GcnParams, adj: sp.csr_matrix, labels: np.ndarray,
+             mask, *, ax: np.ndarray) -> Metrics:
     """Micro-F1, confusion matrix, and error set on the masked nodes."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
-    trace = forward(params, adj, features, ax=ax)
+    trace = forward(params, adj, ax=ax)
     pred = trace.logits[mask].argmax(axis=1)  # ties resolve to lowest index
     true = np.asarray(labels)[mask]
     k = trace.logits.shape[1]

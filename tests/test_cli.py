@@ -157,13 +157,23 @@ def test_account_prints_epsilon_and_order(capsys):
 def test_account_rejects_bad_q(capsys):
     assert main(["account", "--q", "1.5", "--sigma", "4",
                  "--steps", "10"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--q", "0"), ("--sigma", "0"),
+                                         ("--steps", "0"), ("--delta", "1")])
+def test_account_rejects_out_of_range(capsys, flag, value):
+    args = {"--q": "0.5", "--sigma": "4", "--steps": "10", "--delta": "1e-5"}
+    args[flag] = value
+    assert main(["account", *(tok for kv in args.items() for tok in kv)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
 def test_account_rejects_non_finite_sigma(capsys, sigma):
     assert main(["account", "--q", "0.5", "--sigma", sigma,
                  "--steps", "10"]) == 2
-    assert "epsilon" not in capsys.readouterr().out
+    assert capsys.readouterr().out == ""
 
 
 def test_split_outputs_loadable_disjoint_pieces(synth_dir, tmp_path):

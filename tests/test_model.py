@@ -18,6 +18,26 @@ def tiny_setup(n, d, h, k, seed, extra_edges=4):
     return adj, feats, labels, params
 
 
+def run_forward(params, adj, feats, **kw):
+    return forward(params, adj, ax=spmm(adj, feats), **kw)
+
+
+def loss_of(logits, labels, mask):
+    log_probs = masked_log_probs(logits, labels, mask)
+    return masked_cross_entropy(labels, mask, log_probs=log_probs)
+
+
+def gradient_of(params, trace, adj, feats, labels, mask):
+    log_probs = masked_log_probs(trace.logits, labels, mask)
+    return backward(params, trace, adj, feats, labels, mask, log_probs=log_probs)
+
+
+def analytic_gradient(params, adj, feats, labels, mask):
+    """The gradient training computes, at params with dropout off."""
+    trace = run_forward(params, adj, feats)
+    return gradient_of(params, trace, adj, feats, labels, mask)
+
+
 # ---- init_params ----
 
 def test_init_shapes_and_dtype():
@@ -46,7 +66,7 @@ def test_init_deterministic():
 
 def test_forward_zero_features_zero_logits():
     adj, feats, labels, params = tiny_setup(4, 3, 5, 2, 0)
-    trace = forward(params, adj, np.zeros_like(feats))
+    trace = run_forward(params, adj, np.zeros_like(feats))
     assert np.array_equal(trace.logits, np.zeros((4, 2)))
 
 
@@ -56,7 +76,7 @@ def test_forward_isolated_node_is_mlp():
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(3, 4))
     params = init_params(4, 6, 3, Prng(1, stream=1))
-    trace = forward(params, adj, feats)
+    trace = run_forward(params, adj, feats)
     want = np.maximum(feats @ params.w0, 0.0) @ params.w1
     assert np.allclose(trace.logits, want, rtol=1e-12, atol=1e-15)
 
@@ -65,7 +85,7 @@ def test_forward_two_node_hand_oracle():
     adj = normalize_adjacency(build_graph(2, [(0, 1)]))  # all entries 0.5
     feats = np.array([[1.0], [3.0]])
     params = GcnParams(w0=np.array([[2.0]]), w1=np.array([[1.0, -1.0]]))
-    trace = forward(params, adj, feats)
+    trace = run_forward(params, adj, feats)
     # Ahat X = [[2],[2]]; Z0 = [[4],[4]]; relu = same; Ahat H = [[4],[4]]
     assert np.allclose(trace.pre_hidden, [[4.0], [4.0]], rtol=1e-15)
     assert np.allclose(trace.logits, [[4.0, -4.0], [4.0, -4.0]], rtol=1e-15)
@@ -74,26 +94,26 @@ def test_forward_two_node_hand_oracle():
 def test_forward_dropout_requires_rng():
     adj, feats, labels, params = tiny_setup(4, 3, 5, 2, 0)
     with pytest.raises(ValueError):
-        forward(params, adj, feats, dropout=0.5, training=True)
+        run_forward(params, adj, feats, dropout=0.5, training=True)
 
 
 def test_forward_eval_ignores_dropout():
     adj, feats, labels, params = tiny_setup(5, 3, 4, 2, 2)
-    a = forward(params, adj, feats, dropout=0.5, training=False)
-    b = forward(params, adj, feats)
+    a = run_forward(params, adj, feats, dropout=0.5, training=False)
+    b = run_forward(params, adj, feats)
     assert np.array_equal(a.logits, b.logits)
 
 
 def test_forward_dropout_expectation():
     # E[dropout(h)] = h with inverted scaling; average 20000 draws, 3-sigma band
     adj, feats, labels, params = tiny_setup(4, 3, 6, 2, 5)
-    base = forward(params, adj, feats).hidden
+    base = run_forward(params, adj, feats).hidden
     rng = Prng(99, stream=STREAM_DROPOUT)
     draws = 20000
     acc = np.zeros_like(base)
     acc2 = np.zeros_like(base)
     for _ in range(draws):
-        h = forward(params, adj, feats, dropout=0.5, training=True, rng=rng).hidden
+        h = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng).hidden
         acc += h
         acc2 += h * h
     mean = acc / draws
@@ -113,34 +133,9 @@ def test_forward_permutation_equivariance():
     adj = normalize_adjacency(build_graph(n, edges))
     adj_p = normalize_adjacency(build_graph(
         n, [(int(inv[i]), int(inv[j])) for i, j in edges]))
-    logits = forward(params, adj, feats).logits
-    logits_p = forward(params, adj_p, feats[perm]).logits
+    logits = run_forward(params, adj, feats).logits
+    logits_p = run_forward(params, adj_p, feats[perm]).logits
     assert np.allclose(logits_p, logits[perm], rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.parametrize("training", [False, True])
-def test_forward_with_cached_ax_is_bitwise_equal(training):
-    # passing spmm(adj, X) as ax must change nothing, dropout pattern included
-    adj, feats, labels, params = tiny_setup(9, 7, 6, 3, 31, extra_edges=12)
-    kw = dict(dropout=0.5, training=training)
-    plain = forward(params, adj, feats, rng=Prng(5, stream=STREAM_DROPOUT), **kw)
-    cached = forward(params, adj, feats, rng=Prng(5, stream=STREAM_DROPOUT),
-                     ax=spmm(adj, feats), **kw)
-    for name in ("pre_hidden", "hidden", "logits", "keep_scale"):
-        want, got = getattr(plain, name), getattr(cached, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    if training:
-        assert (plain.keep_scale == 0.0).any()
-
-
-def test_evaluate_with_cached_ax_is_equal():
-    adj, feats, labels, params = tiny_setup(12, 5, 6, 3, 37, extra_edges=15)
-    mask = np.array([0, 2, 3, 5, 8, 11])
-    plain = evaluate(params, adj, feats, labels, mask)
-    cached = evaluate(params, adj, feats, labels, mask, ax=spmm(adj, feats))
-    assert cached.micro_f1 == plain.micro_f1
-    assert np.array_equal(cached.confusion, plain.confusion)
-    assert np.array_equal(cached.errors, plain.errors)
 
 
 # ---- masked_cross_entropy ----
@@ -149,13 +144,13 @@ def test_ce_uniform_logits_ln_k():
     logits = np.zeros((3, 4))
     labels = np.array([0, 1, 2])
     mask = np.array([0, 2])
-    loss = masked_cross_entropy(logits, labels, mask)
+    loss = loss_of(logits, labels, mask)
     assert loss == pytest.approx(np.log(4.0), rel=1e-15)
 
 
 def test_ce_confident_correct():
     logits = np.array([[10.0, 0.0, 0.0]])
-    loss = masked_cross_entropy(logits, np.array([0]), np.array([0]))
+    loss = loss_of(logits, np.array([0]), np.array([0]))
     want = -np.log(np.exp(10.0) / (np.exp(10.0) + 2.0))
     assert loss == pytest.approx(want, rel=1e-12)
     assert loss == pytest.approx(9.08e-5, rel=1e-2)
@@ -164,17 +159,17 @@ def test_ce_confident_correct():
 def test_ce_duplicate_mask_rows_count_twice():
     logits = np.array([[2.0, 0.0], [0.0, 0.0]])
     labels = np.array([0, 1])
-    one = masked_cross_entropy(logits, labels, np.array([0, 1]))
-    dup = masked_cross_entropy(logits, labels, np.array([0, 0, 1]))
-    a = masked_cross_entropy(logits, labels, np.array([0]))
-    b = masked_cross_entropy(logits, labels, np.array([1]))
+    one = loss_of(logits, labels, np.array([0, 1]))
+    dup = loss_of(logits, labels, np.array([0, 0, 1]))
+    a = loss_of(logits, labels, np.array([0]))
+    b = loss_of(logits, labels, np.array([1]))
     assert one == pytest.approx((a + b) / 2.0, rel=1e-14)
     assert dup == pytest.approx((2 * a + b) / 3.0, rel=1e-14)
 
 
 def test_ce_extreme_logits_finite():
     logits = np.array([[1000.0, 0.0], [-1000.0, 0.0]])
-    loss = masked_cross_entropy(logits, np.array([1, 0]), np.array([0, 1]))
+    loss = loss_of(logits, np.array([1, 0]), np.array([0, 1]))
     assert np.isfinite(loss) and loss == pytest.approx(1000.0, rel=1e-12)
 
 
@@ -183,15 +178,15 @@ def test_ce_upper_bound_uniform():
     for k in (2, 3, 7):
         logits = rng.normal(size=(5, k))
         labels = rng.integers(0, k, size=5)
-        loss = masked_cross_entropy(np.zeros_like(logits), labels, np.arange(5))
+        loss = loss_of(np.zeros_like(logits), labels, np.arange(5))
         assert loss == pytest.approx(np.log(k), rel=1e-14)
 
 
 def test_ce_errors():
     with pytest.raises(ValueError):
-        masked_cross_entropy(np.zeros((2, 2)), np.array([0, 1]), np.array([], dtype=int))
+        loss_of(np.zeros((2, 2)), np.array([0, 1]), np.array([], dtype=int))
     with pytest.raises(ValueError):
-        masked_cross_entropy(np.zeros((2, 2)), np.array([0, 2]), np.array([1]))
+        loss_of(np.zeros((2, 2)), np.array([0, 2]), np.array([1]))
 
 
 # ---- backward: finite-difference oracle ----
@@ -205,8 +200,8 @@ def numerical_gradient(params, adj, feats, labels, mask, step=1e-4):
         up, down = params.copy(), params.copy()
         up.add_flat(delta)
         down.add_flat(-delta)
-        lu = masked_cross_entropy(forward(up, adj, feats).logits, labels, mask)
-        ld = masked_cross_entropy(forward(down, adj, feats).logits, labels, mask)
+        lu = loss_of(run_forward(up, adj, feats).logits, labels, mask)
+        ld = loss_of(run_forward(down, adj, feats).logits, labels, mask)
         grad[i] = (lu - ld) / (2.0 * step)
     return grad
 
@@ -222,17 +217,18 @@ def test_backward_single_node_binary():
     labels = np.array([1])
     params = init_params(2, 3, 2, Prng(0, stream=1))
     mask = np.array([0])
-    analytic = backward(params, forward(params, adj, feats), adj, feats, labels, mask)
+    analytic = analytic_gradient(params, adj, feats, labels, mask)
     numeric = numerical_gradient(params, adj, feats, labels, mask)
     assert grad_rel_err(analytic, numeric) < 1e-6
 
 
 def test_backward_six_node_graph():
     adj, feats, labels, params = tiny_setup(6, 4, 5, 3, 13, extra_edges=8)
-    mask = np.array([0, 2, 4, 5])
-    analytic = backward(params, forward(params, adj, feats), adj, feats, labels, mask)
-    numeric = numerical_gradient(params, adj, feats, labels, mask)
-    assert grad_rel_err(analytic, numeric) < 1e-6
+    # in the second mask the loss counts node 0 twice, so must the gradient
+    for mask in (np.array([0, 2, 4, 5]), np.array([0, 0, 2, 4, 5])):
+        analytic = analytic_gradient(params, adj, feats, labels, mask)
+        numeric = numerical_gradient(params, adj, feats, labels, mask)
+        assert grad_rel_err(analytic, numeric) < 1e-6, mask
 
 
 def kink_free_setup(seed, step=1e-4):
@@ -252,7 +248,7 @@ def kink_free_setup(seed, step=1e-4):
             n, d, h, k, seed, extra_edges=int(rng.integers(0, n * 2)))
         m = int(rng.integers(1, n + 1))
         mask = np.sort(rng.choice(n, size=m, replace=False))
-        clearance = np.abs(forward(params, adj, feats).pre_hidden).min()
+        clearance = np.abs(run_forward(params, adj, feats).pre_hidden).min()
         if clearance > 50.0 * step:
             return adj, feats, labels, params, mask
         seed += 100_000
@@ -262,8 +258,7 @@ def test_backward_fd_sweep():
     # twenty random shapes: n<=8, d,h,K<=6, dropout off
     for seed in range(20):
         adj, feats, labels, params, mask = kink_free_setup(1000 + seed)
-        analytic = backward(params, forward(params, adj, feats),
-                            adj, feats, labels, mask)
+        analytic = analytic_gradient(params, adj, feats, labels, mask)
         numeric = numerical_gradient(params, adj, feats, labels, mask)
         assert grad_rel_err(analytic, numeric) < 1e-6, f"seed {seed}"
 
@@ -273,8 +268,7 @@ def test_backward_margin_30_fixed_point():
     adj = normalize_adjacency(build_graph(1, []))
     feats = np.array([[1.0]])
     params = GcnParams(w0=np.array([[30.0]]), w1=np.array([[1.0, 0.0]]))
-    grad = backward(params, forward(params, adj, feats), adj, feats,
-                    np.array([0]), np.array([0]))
+    grad = analytic_gradient(params, adj, feats, np.array([0]), np.array([0]))
     assert np.abs(grad).max() < 1e-6
 
 
@@ -284,14 +278,14 @@ def test_backward_dropout_mask_respected():
     adj, feats, labels, params = tiny_setup(5, 3, 8, 2, 21)
     mask = np.arange(5)
     rng = Prng(4, stream=STREAM_DROPOUT)
-    t1 = forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
-    t2 = forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
-    g1 = backward(params, t1, adj, feats, labels, mask)
-    g2 = backward(params, t2, adj, feats, labels, mask)
+    t1 = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
+    t2 = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
+    g1 = gradient_of(params, t1, adj, feats, labels, mask)
+    g2 = gradient_of(params, t2, adj, feats, labels, mask)
     assert not np.array_equal(g1, g2)
 
 
-# ---- shared log-probabilities: bitwise against the textbook formulas ----
+# ---- forward, loss and backward: bitwise against the textbook formulas ----
 
 def reference_forward(params, adj, feats, dropout, rng):
     h = np.maximum(spmm(adj, feats) @ params.w0, 0.0)
@@ -315,7 +309,7 @@ def reference_backward(params, trace, adj, feats, labels, mask):
     p = np.exp(reference_log_softmax(trace.logits[mask]))
     p[np.arange(mask.size), labels[mask]] -= 1.0
     g1 = np.zeros((n, k))
-    g1[mask] = p / mask.size
+    np.add.at(g1, mask, p / mask.size)
     ag1 = spmm(adj, g1)
     grad_w1 = trace.hidden.T @ ag1
     g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
@@ -327,19 +321,19 @@ SHARED_CASES = [
     (9, 7, 6, 3, 41, np.array([0, 2, 3, 5, 8])),
     (12, 5, 8, 4, 43, np.arange(12)),
     (6, 4, 5, 3, 47, np.array([4])),
-    # duplicates: the loss counts a repeated node once per entry, while
-    # backward, like the reference, assigns its gradient row only once
+    # duplicates: the loss and the gradient count a repeated node once
+    # per mask entry
     (8, 6, 4, 3, 53, np.array([1, 1, 6, 3, 6, 6])),
 ]
 
 
 @pytest.mark.parametrize("n, d, h, k, seed, mask", SHARED_CASES,
                          ids=["subset", "all", "single", "duplicates"])
-def test_loss_and_backward_bitwise_with_and_without_log_probs(n, d, h, k, seed,
-                                                              mask):
+def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
+                                                             mask):
     adj, feats, labels, params = tiny_setup(n, d, h, k, seed, extra_edges=2 * n)
-    trace = forward(params, adj, feats, dropout=0.5, training=True,
-                    rng=Prng(seed, stream=STREAM_DROPOUT))
+    trace = run_forward(params, adj, feats, dropout=0.5, training=True,
+                        rng=Prng(seed, stream=STREAM_DROPOUT))
     hidden, logits = reference_forward(params, adj, feats, 0.5,
                                        Prng(seed, stream=STREAM_DROPOUT))
     assert np.array_equal(trace.hidden, hidden)
@@ -348,17 +342,12 @@ def test_loss_and_backward_bitwise_with_and_without_log_probs(n, d, h, k, seed,
     log_probs = masked_log_probs(trace.logits, labels, mask)
     assert np.array_equal(log_probs, reference_log_softmax(trace.logits[mask]))
     want_loss = reference_cross_entropy(trace.logits, labels, mask)
-    assert masked_cross_entropy(trace.logits, labels, mask) == want_loss
-    assert masked_cross_entropy(trace.logits, labels, mask,
-                                log_probs=log_probs) == want_loss
+    assert masked_cross_entropy(labels, mask, log_probs=log_probs) == want_loss
 
     want_grad = reference_backward(params, trace, adj, feats, labels, mask)
-    plain = backward(params, trace, adj, feats, labels, mask)
-    shared = backward(params, trace, adj, feats, labels, mask,
-                      log_probs=log_probs)
-    assert plain.dtype == shared.dtype == np.float64
-    assert np.array_equal(plain, want_grad)
-    assert np.array_equal(shared, want_grad)
+    grad = backward(params, trace, adj, feats, labels, mask, log_probs=log_probs)
+    assert grad.dtype == np.float64
+    assert np.array_equal(grad, want_grad)
     # backward reads log_probs and leaves it as it was
     assert np.array_equal(log_probs, reference_log_softmax(trace.logits[mask]))
 
@@ -374,26 +363,46 @@ def test_masked_log_probs_errors():
 
 def test_backward_errors():
     adj, feats, labels, params = tiny_setup(3, 2, 4, 2, 59)
-    trace = forward(params, adj, feats)
+    trace = run_forward(params, adj, feats)
     with pytest.raises(ValueError, match="empty mask"):
-        backward(params, trace, adj, feats, labels, np.array([], dtype=int))
+        gradient_of(params, trace, adj, feats, labels, np.array([], dtype=int))
     with pytest.raises(ValueError, match="label out of range"):
-        backward(params, trace, adj, feats, np.array([0, 1, 2]), np.array([2]))
+        gradient_of(params, trace, adj, feats, np.array([0, 1, 2]), np.array([2]))
 
 
 def test_log_probs_must_match_mask():
     adj, feats, labels, params = tiny_setup(4, 2, 4, 3, 61)
-    trace = forward(params, adj, feats)
+    trace = run_forward(params, adj, feats)
     mask = np.array([0, 3])
     log_probs = masked_log_probs(trace.logits, labels, mask)
     empty = np.array([], dtype=int)
     for bad_mask, bad in ((np.array([0, 1, 3]), log_probs),
-                          (mask, log_probs[:, :2]),
+                          (mask, log_probs.ravel()),
                           (empty, log_probs[:0])):
         with pytest.raises(ValueError, match="log_probs do not match"):
-            masked_cross_entropy(trace.logits, labels, bad_mask, log_probs=bad)
+            masked_cross_entropy(labels, bad_mask, log_probs=bad)
         with pytest.raises(ValueError, match="log_probs do not match"):
             backward(params, trace, adj, feats, labels, bad_mask, log_probs=bad)
+
+
+def test_old_call_forms_raise_type_error():
+    # the A X input and the log-probabilities are required keywords, so
+    # X cannot pass for A X, nor logits for log-probabilities
+    adj, feats, labels, params = tiny_setup(4, 2, 4, 3, 67)
+    mask = np.array([0, 3])
+    trace = run_forward(params, adj, feats)
+    log_probs = masked_log_probs(trace.logits, labels, mask)
+    old_calls = [
+        lambda: forward(params, adj, feats),
+        lambda: evaluate(params, adj, feats, labels, mask),
+        lambda: masked_cross_entropy(trace.logits, labels, mask),
+        lambda: backward(params, trace, adj, feats, labels, mask),
+        lambda: masked_cross_entropy(trace.logits, labels, mask,
+                                     log_probs=log_probs),
+    ]
+    for call in old_calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---- evaluate / macro_f1 ----
@@ -403,7 +412,8 @@ def test_evaluate_all_correct():
     adj = normalize_adjacency(build_graph(3, []))
     params = GcnParams(w0=np.eye(3), w1=np.eye(3) * 5.0)
     feats = np.eye(3)
-    m = evaluate(params, adj, feats, np.array([0, 1, 2]), np.array([0, 1, 2]))
+    m = evaluate(params, adj, np.array([0, 1, 2]), np.array([0, 1, 2]),
+                 ax=spmm(adj, feats))
     assert m.micro_f1 == 1.0
     assert np.array_equal(m.confusion, np.eye(3, dtype=np.int64))
     assert m.errors.size == 0
@@ -413,7 +423,8 @@ def test_evaluate_all_wrong():
     adj = normalize_adjacency(build_graph(2, []))
     params = GcnParams(w0=np.eye(2), w1=np.eye(2))
     feats = np.array([[0.0, 1.0], [1.0, 0.0]])  # predicts the other class
-    m = evaluate(params, adj, feats, np.array([0, 1]), np.array([0, 1]))
+    m = evaluate(params, adj, np.array([0, 1]), np.array([0, 1]),
+                 ax=spmm(adj, feats))
     assert m.micro_f1 == 0.0
     assert np.array_equal(np.sort(m.errors), [0, 1])
 
@@ -424,7 +435,7 @@ def test_evaluate_majority_predictor_fraction():
     params = GcnParams(w0=np.zeros((2, 3)), w1=np.zeros((3, 4)))
     feats = np.random.default_rng(0).normal(size=(5, 2))
     labels = np.array([0, 0, 0, 1, 2])
-    m = evaluate(params, adj, feats, labels, np.arange(5))
+    m = evaluate(params, adj, labels, np.arange(5), ax=spmm(adj, feats))
     assert m.micro_f1 == pytest.approx(0.6)
     assert m.confusion[:, 0].sum() == 5  # everything predicted class 0
 
@@ -432,7 +443,7 @@ def test_evaluate_majority_predictor_fraction():
 def test_evaluate_confusion_row_sums():
     adj, feats, labels, params = tiny_setup(8, 3, 4, 3, 17)
     mask = np.array([0, 1, 3, 6, 7])
-    m = evaluate(params, adj, feats, labels, mask)
+    m = evaluate(params, adj, labels, mask, ax=spmm(adj, feats))
     counts = np.bincount(labels[mask], minlength=3)
     assert np.array_equal(m.confusion.sum(axis=1), counts)
     assert m.confusion.sum() == mask.size
@@ -441,7 +452,7 @@ def test_evaluate_confusion_row_sums():
 def test_evaluate_micro_f1_is_trace_fraction():
     adj, feats, labels, params = tiny_setup(10, 4, 5, 4, 23)
     mask = np.arange(10)
-    m = evaluate(params, adj, feats, labels, mask)
+    m = evaluate(params, adj, labels, mask, ax=spmm(adj, feats))
     assert m.micro_f1 == pytest.approx(np.trace(m.confusion) / mask.size, abs=0)
 
 
@@ -459,5 +470,6 @@ def test_macro_f1_absent_class_scores_zero():
 def test_evaluate_argmax_tie_lowest_index():
     adj = normalize_adjacency(build_graph(1, []))
     params = GcnParams(w0=np.zeros((1, 1)), w1=np.zeros((1, 3)))
-    m = evaluate(params, adj, np.ones((1, 1)), np.array([0]), np.array([0]))
+    m = evaluate(params, adj, np.array([0]), np.array([0]),
+                 ax=spmm(adj, np.ones((1, 1))))
     assert m.micro_f1 == 1.0  # tie resolved to class 0 == label
