@@ -22,18 +22,15 @@ dataset = generate_synthetic(SynthSpec(
 # ---------------------------------------------------------------------------
 # Partition the training nodes into s = 10 balanced, disjoint groups.
 s = 10
-part = random_partition(dataset.train_nodes, s,
-                        Prng(0, streams.STREAM_PARTITION))
+groups = random_partition(dataset.train_nodes, s,
+                          Prng(0, streams.STREAM_PARTITION))
 print(f"partitioned {dataset.train_nodes.size} training nodes into "
-      f"{s} subgraphs, sizes {part.sizes().tolist()}")
+      f"{s} subgraphs, sizes {[keep.size for keep in groups]}")
 
 # Masking keeps only the edges whose endpoints fall in the same subgraph;
 # each piece becomes one self-contained training example.
-kept = 0
-for k in range(s):
-    sub = mask_subgraph(dataset.graph, dataset.features, dataset.labels,
-                        part, k)
-    kept += sub.graph.indices.size // 2
+kept = sum(mask_subgraph(dataset.graph, keep).indices.size // 2
+           for keep in groups)
 total = dataset.graph.indices.size // 2
 print(f"edges kept inside subgraphs: {kept} of {total} total "
       "(the rest cross a boundary or touch val/test nodes)")

@@ -16,8 +16,8 @@ from .data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .dp import (AdamState, DpNoiseSpec, adam_step, clip_gradient,
                  noisy_lot_gradient, sample_lot, sgd_step)
-from .graph import (Partition, Subgraph, build_graph, mask_subgraph,
-                    normalize_adjacency, random_partition, spmm)
+from .graph import (build_graph, mask_subgraph, normalize_adjacency,
+                    random_partition, spmm)
 from .harness import (ConfigError, ExperimentConfig, ResultsRecord,
                       SeedOutcome, TrainingDiverged, early_stop_check,
                       emit_results, hard_case_overlap, load_config,

@@ -96,20 +96,19 @@ def _cmd_split(args) -> int:
     ds = load_dataset(args.dataset)
     rng = Prng(args.seed, STREAM_PARTITION)
     try:
-        part = random_partition(ds.train_nodes, args.s, rng)
+        groups = random_partition(ds.train_nodes, args.s, rng)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
+    assignment = sorted((int(node), k) for k, keep in enumerate(groups) for node in keep)
     with open(os.path.join(args.out, "assignment.tsv"), "w",
               encoding="utf-8", newline="\n") as fh:
-        for node, k in zip(part.nodes, part.assignment):
-            fh.write(f"{node}\t{k}\n")
-    for k in range(args.s):
-        sub = mask_subgraph(ds.graph, ds.features, ds.labels, part, k)
+        fh.writelines(f"{node}\t{k}\n" for node, k in assignment)
+    for k, keep in enumerate(groups):
         piece = Dataset(
-            name=f"{ds.name}-sub{k:03d}", graph=sub.graph,
-            features=sub.features, labels=sub.labels,
-            train_nodes=np.arange(sub.node_ids.size, dtype=np.int64),
+            name=f"{ds.name}-sub{k:03d}", graph=mask_subgraph(ds.graph, keep),
+            features=ds.features[keep], labels=ds.labels[keep],
+            train_nodes=np.arange(keep.size, dtype=np.int64),
             val_nodes=np.empty(0, dtype=np.int64),
             test_nodes=np.empty(0, dtype=np.int64),
             num_classes=ds.num_classes, feature_kind=ds.feature_kind)

@@ -142,14 +142,20 @@ def load_dataset(path: str) -> Dataset:
         node, dim, value = triplets.T
         if ((node < 0) | (node >= n) | (dim < 0) | (dim >= d)).any():
             raise DatasetError("index-out-of-range", "feature triplet out of range")
+        node, dim = node.astype(np.int64), dim.astype(np.int64)
+        if np.unique(node * d + dim).size != node.size:
+            raise DatasetError("duplicate-row",
+                               "features.tsv lists a (node, dim) twice")
         features = np.zeros((n, d))
-        features[node.astype(np.int64), dim.astype(np.int64)] = value
+        features[node, dim] = value
 
     node, cls = _read_rows(os.path.join(path, "labels.tsv"), (int, int)).T
     if ((node < 0) | (node >= n)).any():
         raise DatasetError("index-out-of-range", "a label's node is out of range")
     if ((cls < 0) | (cls >= k)).any():
         raise DatasetError("label-out-of-range", "class outside [0, num_classes)")
+    if np.unique(node).size != node.size:
+        raise DatasetError("duplicate-row", "labels.tsv lists a node twice")
     labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
 

@@ -37,9 +37,9 @@ def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     if not 0 < clip_norm < math.inf:
         raise ValueError("clip norm must be positive and finite")
     grad = np.asarray(grad, dtype=np.float64)
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
     norm = math.sqrt(float(grad.dot(grad)))  # what np.linalg.norm computes
+    if not math.isfinite(norm):  # a non-finite entry, or a squared norm past 1.8e308
+        raise ValueError("non-finite gradient norm")
     return grad / max(1.0, norm / clip_norm)
 
 

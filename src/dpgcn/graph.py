@@ -1,8 +1,10 @@
-"""Graph adjacency as scipy CSR, its normalization, and random node splitting."""
+"""Graph adjacency as scipy CSR, its normalization, and random node splitting.
+
+A split of the training nodes is a list of s disjoint, sorted int64 arrays
+of global node ids; mask_subgraph turns one group into its induced subgraph.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,25 +57,12 @@ def spmm(adj: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
     return adj @ dense
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint assignment of the training nodes to num_subgraphs groups."""
+def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> list[np.ndarray]:
+    """Split the training nodes at random into num_subgraphs disjoint groups.
 
-    num_subgraphs: int
-    nodes: np.ndarray       # sorted global ids of the partitioned nodes
-    assignment: np.ndarray  # aligned with nodes, values in [0, num_subgraphs)
-
-    def members(self, k: int) -> np.ndarray:
-        return self.nodes[self.assignment == k]
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.num_subgraphs)
-
-
-def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> Partition:
-    """Permute the training nodes and cut into num_subgraphs contiguous chunks.
-
-    Sizes are balanced: n mod s chunks get ceil(n/s) nodes, the rest floor(n/s).
+    One permutation is cut into contiguous chunks: n mod s groups get
+    ceil(n/s) nodes, the rest floor(n/s). Each group is a sorted int64
+    array of global node ids.
     """
     nodes = np.unique(np.asarray(training_nodes, dtype=np.int64))
     n, s = nodes.size, int(num_subgraphs)
@@ -81,30 +70,12 @@ def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> Partition
         raise ValueError("need at least one subgraph")
     if s > n:
         raise ValueError(f"cannot split {n} nodes into {s} subgraphs")
-    sizes = np.full(s, n // s, dtype=np.int64)
-    sizes[:n % s] += 1
-    order = rng.permutation(n)
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[order] = np.repeat(np.arange(s, dtype=np.int64), sizes)
-    return Partition(s, nodes, assignment)
+    return [nodes[np.sort(chunk)] for chunk in np.array_split(rng.permutation(n), s)]
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """Induced subgraph with rows of the node data, relabeled to 0..m-1."""
+def mask_subgraph(graph: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """The subgraph induced by the nodes keep, relabeled so keep[i] is node i.
 
-    graph: sp.csr_matrix
-    features: np.ndarray
-    labels: np.ndarray
-    node_ids: np.ndarray  # node_ids[new] = old global id (the relabel map)
-
-
-def mask_subgraph(graph: sp.csr_matrix, features: np.ndarray, labels: np.ndarray,
-                  part: Partition, k: int) -> Subgraph:
-    """Restrict graph and node data to subgraph k, dropping cross edges."""
-    if not 0 <= k < part.num_subgraphs:
-        raise ValueError(f"subgraph index {k} out of range")
-    keep = part.members(k)
-    return Subgraph(graph[keep][:, keep],
-                    np.asarray(features, dtype=np.float64)[keep],
-                    np.asarray(labels)[keep], keep)
+    Edges with an endpoint outside keep are dropped.
+    """
+    return graph[keep][:, keep]

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -281,20 +281,19 @@ class _Trainer:
         return nodes
 
     def _subgraph_examples(self) -> list:
-        part = random_partition(self.train_nodes, self.cfg.s, self.rng_part)
         examples = []
         seen = np.zeros(self.ds.num_nodes, dtype=bool)
-        for k in range(self.cfg.s):
-            sub = mask_subgraph(self.ds.graph, self.ds.features,
-                                self.ds.labels, part, k)
-            if seen[sub.node_ids].any():
+        for keep in random_partition(self.train_nodes, self.cfg.s, self.rng_part):
+            if seen[keep].any():
                 raise AssertionError("subgraphs share nodes")
-            seen[sub.node_ids] = True
+            seen[keep] = True
+            graph = mask_subgraph(self.ds.graph, keep)
             # every stored edge must stay inside the subgraph's node set
-            if sub.graph.indices.size and sub.graph.indices.max() >= sub.node_ids.size:
+            if graph.indices.size and graph.indices.max() >= keep.size:
                 raise AssertionError("cross-subgraph edge survived masking")
-            examples.append(Example.of(normalize_adjacency(sub.graph), sub.features,
-                                       sub.labels, np.arange(sub.node_ids.size)))
+            examples.append(Example.of(normalize_adjacency(graph),
+                                       self.ds.features[keep], self.ds.labels[keep],
+                                       np.arange(keep.size)))
         return examples
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
@@ -307,8 +306,9 @@ class _Trainer:
         self.last_loss = loss
         grad = backward(self.params, trace, ex.adj, ex.features, ex.labels,
                         ex.mask, log_probs=log_probs)
-        if not np.isfinite(grad).all():
-            raise TrainingDiverged(f"non-finite gradient at epoch {epoch}")
+        # a NaN or inf entry, or a squared norm past the float range, which
+        # clip_gradient would reject
+        _require_finite(float(grad.dot(grad)), "gradient", epoch)
         return grad
 
     def _step(self, grad: np.ndarray) -> None:
@@ -447,15 +447,9 @@ def run_experiment(config: ExperimentConfig,
 def emit_results(record: ResultsRecord, out_dir: str) -> None:
     """Write results.json (exact values) and results.csv (one row per seed)."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "config": record.config,
-        "seeds": [vars(o).copy() for o in record.seeds],
-        "aggregate": record.aggregate,
-        "metadata": record.metadata,
-    }
     with open(os.path.join(out_dir, "results.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(asdict(record), fh, indent=2)
         fh.write("\n")
 
     def cell(value):

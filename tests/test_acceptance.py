@@ -125,28 +125,29 @@ def test_criterion_04_private_lot_mechanism():
 # --- criterion 5: partition and masking guarantees ------------------------
 
 
-def _check_partition_and_masks(n, s, graph, feats, labels, seed):
-    part = random_partition(np.arange(n), s, Prng(seed, streams.STREAM_PARTITION))
+def _check_partition_and_masks(n, s, graph, seed):
+    groups = random_partition(np.arange(n), s, Prng(seed, streams.STREAM_PARTITION))
     # disjoint cover of all n nodes
-    members = np.concatenate([part.members(k) for k in range(s)])
+    members = np.concatenate(groups)
     assert np.array_equal(np.sort(members), np.arange(n))
     # balanced sizes
-    sizes = part.sizes()
+    sizes = np.array([keep.size for keep in groups])
     assert sizes.max() - sizes.min() <= 1
 
     assign_of = np.empty(n, dtype=np.int64)
-    assign_of[part.nodes] = part.assignment
+    for k, keep in enumerate(groups):
+        assign_of[keep] = k
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
     expected_kept = int((assign_of[rows] == assign_of[graph.indices]).sum())
     kept = 0
-    for k in range(s):
-        sub = mask_subgraph(graph, feats, labels, part, k)
-        sub_rows = np.repeat(sub.node_ids, np.diff(sub.graph.indptr))
-        sub_cols = sub.node_ids[sub.graph.indices]
+    for k, keep in enumerate(groups):
+        sub = mask_subgraph(graph, keep)
+        sub_rows = np.repeat(keep, np.diff(sub.indptr))
+        sub_cols = keep[sub.indices]
         # no surviving edge may leave subgraph k
         assert np.all(assign_of[sub_rows] == k)
         assert np.all(assign_of[sub_cols] == k)
-        kept += sub.graph.indices.size
+        kept += sub.indices.size
     # every same-subgraph edge survives, so the counts match exactly
     assert kept == expected_kept
 
@@ -158,11 +159,8 @@ def test_criterion_05_partition_and_masking_guarantees():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if draw.random() < 0.4]
         graph = build_graph(n, edges)
-        feats = draw.normal(size=(n, 3))
-        labels = draw.integers(0, 3, size=n)
         for s in range(1, n + 1):
-            _check_partition_and_masks(n, s, graph, feats, labels,
-                                       seed=n * 100 + s)
+            _check_partition_and_masks(n, s, graph, seed=n * 100 + s)
 
     # randomized at n = 10^4
     n = 10_000
@@ -170,10 +168,8 @@ def test_criterion_05_partition_and_masking_guarantees():
     edges = [(int(a), int(b)) for a, b in draw.integers(0, n, size=(30_000, 2))
              if a != b]
     graph = build_graph(n, edges)
-    feats = draw.normal(size=(n, 4))
-    labels = draw.integers(0, 3, size=n)
     for s in (3, 137):
-        _check_partition_and_masks(n, s, graph, feats, labels, seed=s)
+        _check_partition_and_masks(n, s, graph, seed=s)
 
 
 # --- criterion 6: citation-network baselines (data-gated) -----------------

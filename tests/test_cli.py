@@ -295,6 +295,7 @@ def test_console_entry_point_is_wired(tmp_path):
          "-q", "egg_info", "--egg-base", str(tmp_path)],
         cwd=root, check=True)
     built = md.PathDistribution(tmp_path / "dpgcn.egg-info")
+    assert built.version == dpgcn.__version__
     ours = list(built.entry_points.select(group="console_scripts",
                                           name="dpgcn"))
     assert ours and ours[0].value == "dpgcn.cli:entry"

@@ -136,6 +136,13 @@ def _zero_features(root):
     (root / "features.tsv").write_text("")
 
 
+def _repeated_triplet(root):
+    meta = json.loads((root / "meta.json").read_text())
+    meta.update(feature_kind="sparse")
+    (root / "meta.json").write_text(json.dumps(meta))
+    (root / "features.tsv").write_text("0\t1\t0.5\n2\t0\t-1.0\n0\t1\t123.0\n")
+
+
 BROKEN_FILES = {
     "features-zero-columns": _zero_features,
     "meta-bad-json": _rewrite("meta.json", lambda raw: raw[:-3]),
@@ -149,6 +156,8 @@ BROKEN_FILES = {
                                    lambda raw: raw.replace(b"1\t1", b"1\tone")),
     "features-non-number": _rewrite("features.csv",
                                     lambda raw: raw.replace(b"2.0", b"two")),
+    "labels-repeated-node": _rewrite("labels.tsv", lambda raw: raw + b"0\t1\n"),
+    "features-repeated-triplet": _repeated_triplet,
     **{f"{name}-not-utf8": _rewrite(name, lambda raw: raw[:4] + b"\xff" + raw[4:])
        for name in ("meta.json", "edges.tsv", "features.csv", "labels.tsv",
                     "masks.tsv")},

@@ -43,6 +43,9 @@ def test_clip_rejects_non_finite():
         clip_gradient(np.array([np.inf, 0.0]), 1.0)
     with pytest.raises(ValueError):
         clip_gradient(np.array([np.nan]), 1.0)
+    # finite entries whose squared norm overflows are not zeroed silently
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        clip_gradient(np.array([1e200, 1e200]), 1.0)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgcn.graph import (Partition, build_graph, mask_subgraph,
-                         normalize_adjacency, random_partition, spmm)
+from dpgcn.graph import (build_graph, mask_subgraph, normalize_adjacency,
+                         random_partition, spmm)
 from dpgcn.rng import Prng
 
 
@@ -170,28 +170,32 @@ def test_spmm_shape_error():
 
 # ---- random_partition ----
 
+def sizes(groups):
+    return [keep.size for keep in groups]
+
+
 def test_partition_sizes_10_3():
-    part = random_partition(np.arange(10), 3, Prng(0))
-    assert sorted(part.sizes()) == [3, 3, 4]
+    groups = random_partition(np.arange(10), 3, Prng(0))
+    assert sorted(sizes(groups)) == [3, 3, 4]
 
 
 def test_partition_sizes_divisible():
-    part = random_partition(np.arange(9), 3, Prng(0))
-    assert list(part.sizes()) == [3, 3, 3]
+    groups = random_partition(np.arange(9), 3, Prng(0))
+    assert sizes(groups) == [3, 3, 3]
 
 
 def test_partition_singletons():
-    part = random_partition(np.arange(5), 5, Prng(0))
-    assert list(part.sizes()) == [1] * 5
+    groups = random_partition(np.arange(5), 5, Prng(0))
+    assert sizes(groups) == [1] * 5
 
 
 def test_partition_deterministic_and_seed_sensitive():
     a = random_partition(np.arange(40), 7, Prng(5))
     b = random_partition(np.arange(40), 7, Prng(5))
     c = random_partition(np.arange(40), 7, Prng(6))
-    assert np.array_equal(a.assignment, b.assignment)
-    assert sorted(a.sizes()) == sorted(c.sizes())
-    assert not np.array_equal(a.assignment, c.assignment)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert sorted(sizes(a)) == sorted(sizes(c))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_partition_errors():
@@ -203,9 +207,12 @@ def test_partition_errors():
 
 def test_partition_covers_exact_node_set():
     nodes = np.array([4, 9, 17, 2, 30])
-    part = random_partition(nodes, 2, Prng(1))
-    got = np.concatenate([part.members(k) for k in range(2)])
+    groups = random_partition(nodes, 2, Prng(1))
+    got = np.concatenate(groups)
     assert np.array_equal(np.sort(got), np.sort(nodes))
+    # each group is sorted global ids
+    assert all(keep.dtype == np.int64 and np.all(np.diff(keep) > 0)
+               for keep in groups)
 
 
 @given(n=st.integers(1, 60), s=st.integers(1, 60), seed=st.integers(0, 10))
@@ -215,12 +222,12 @@ def test_partition_properties(n, s, seed):
         with pytest.raises(ValueError):
             random_partition(np.arange(n), s, Prng(seed))
         return
-    part = random_partition(np.arange(n), s, Prng(seed))
-    sizes = part.sizes()
-    assert sizes.sum() == n and sizes.min() >= 1
-    assert sizes.max() - sizes.min() <= 1
-    assert np.array_equal(np.sort(np.concatenate(
-        [part.members(k) for k in range(s)])), np.arange(n))
+    groups = random_partition(np.arange(n), s, Prng(seed))
+    counts = np.array(sizes(groups))
+    assert len(groups) == s
+    assert counts.sum() == n and counts.min() >= 1
+    assert counts.max() - counts.min() <= 1
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(n))
 
 
 # ---- mask_subgraph ----
@@ -233,45 +240,35 @@ def _two_triangles():
 
 def test_mask_drops_bridge_keeps_triangles():
     g = _two_triangles()
-    feats = np.arange(12, dtype=float).reshape(6, 2)
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    part = Partition(2, np.arange(6), np.array([0, 0, 0, 1, 1, 1]))
-    for k in range(2):
-        sub = mask_subgraph(g, feats, labels, part, k)
-        assert sub.graph.shape[0] == 3
-        assert sub.graph.nnz // 2 == 3  # the triangle, bridge gone
-        assert np.array_equal(sub.node_ids, [0, 1, 2] if k == 0 else [3, 4, 5])
-        assert np.array_equal(sub.features, feats[sub.node_ids])
-        assert np.array_equal(sub.labels, labels[sub.node_ids])
+    for keep in (np.array([0, 1, 2]), np.array([3, 4, 5])):
+        sub = mask_subgraph(g, keep)
+        assert sub.shape == (3, 3)
+        assert sub.nnz // 2 == 3  # the triangle, bridge gone
 
 
 def test_mask_triangle_partial():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    part = Partition(2, np.arange(3), np.array([0, 0, 1]))
-    sub = mask_subgraph(g, np.zeros((3, 1)), np.zeros(3, dtype=int), part, 0)
-    assert sub.graph.shape[0] == 2 and sub.graph.nnz // 2 == 1
-    assert np.array_equal(sub.graph[0].indices, [1])
+    sub = mask_subgraph(g, np.array([0, 1]))
+    assert sub.shape[0] == 2 and sub.nnz // 2 == 1
+    assert np.array_equal(sub[0].indices, [1])
 
 
 def test_mask_singleton():
     g = build_graph(2, [(0, 1)])
-    part = Partition(2, np.arange(2), np.array([0, 1]))
-    sub = mask_subgraph(g, np.zeros((2, 1)), np.zeros(2, dtype=int), part, 1)
-    assert sub.graph.shape[0] == 1 and sub.graph.indices.size == 0
+    sub = mask_subgraph(g, np.array([1]))
+    assert sub.shape[0] == 1 and sub.indices.size == 0
 
 
 def test_mask_preserves_fully_contained_edges():
     g = _two_triangles()
-    part = Partition(1, np.arange(6), np.zeros(6, dtype=int))
-    sub = mask_subgraph(g, np.zeros((6, 1)), np.zeros(6, dtype=int), part, 0)
-    assert sub.graph.nnz // 2 == g.nnz // 2
+    sub = mask_subgraph(g, np.arange(6))
+    assert sub.nnz // 2 == g.nnz // 2
 
 
 def test_mask_index_error():
     g = build_graph(2, [(0, 1)])
-    part = Partition(2, np.arange(2), np.array([0, 1]))
-    with pytest.raises(ValueError):
-        mask_subgraph(g, np.zeros((2, 1)), np.zeros(2, dtype=int), part, 2)
+    with pytest.raises(IndexError):  # a node id past the graph
+        mask_subgraph(g, np.array([0, 2]))
 
 
 @given(seed=st.integers(0, 50), s=st.integers(1, 6))
@@ -283,16 +280,17 @@ def test_mask_no_cross_edges_property(seed, s):
     # the format: symmetric 0/1 CSR, repeats merged, indices sorted
     assert (g.data == 1.0).all() and g.has_canonical_format
     assert (g != g.T).nnz == 0
-    part = random_partition(np.arange(n), s, Prng(seed))
+    groups = random_partition(np.arange(n), s, Prng(seed))
     assign = np.empty(n, dtype=int)
-    assign[part.nodes] = part.assignment
+    for k, keep in enumerate(groups):
+        assign[keep] = k
     kept = 0
-    for k in range(s):
-        sub = mask_subgraph(g, np.zeros((n, 1)), np.zeros(n, dtype=int), part, k)
-        kept += sub.graph.nnz // 2
-        for new_i in range(sub.graph.shape[0]):
-            for new_j in sub.graph[new_i].indices:
-                gi, gj = sub.node_ids[new_i], sub.node_ids[new_j]
+    for k, keep in enumerate(groups):
+        sub = mask_subgraph(g, keep)
+        kept += sub.nnz // 2
+        for new_i in range(sub.shape[0]):
+            for new_j in sub[new_i].indices:
+                gi, gj = keep[new_i], keep[new_j]
                 assert assign[gi] == assign[gj] == k
     # kept edges are exactly those with both endpoints in one subgraph
     want = sum(1 for i in range(n) for j in g[i].indices

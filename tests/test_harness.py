@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,15 @@ import scipy.sparse as sp
 import dpgcn
 import dpgcn.harness as harness_mod
 import dpgcn.model as model_mod
+from dpgcn import rng as streams
 from dpgcn.accounting import AccountantLedger, calibrate_noise, privacy_spent
 from dpgcn.data import SynthSpec, generate_synthetic
-from dpgcn.graph import spmm
+from dpgcn.graph import random_partition, spmm
 from dpgcn.harness import (ConfigError, ExperimentConfig, ResultsRecord,
                            SeedOutcome, TrainingDiverged, early_stop_check,
                            emit_results, hard_case_overlap, parse_config_text,
                            resolve_sigma, run_experiment)
+from dpgcn.rng import Prng
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +383,14 @@ def test_run_divergence_is_recorded_not_raised(sbm):
         assert o.f1_micro is None
     assert record.aggregate["f1_micro_mean"] is None
 
+    # finite gradients whose squared norm overflows cannot be clipped
+    huge = replace(sbm, features=sbm.features * 1e155)
+    cfg = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=1.0,
+                           max_epochs=3, seeds=(0,))
+    record = run_experiment(cfg, dataset=huge)
+    assert record.aggregate["seeds_failed"] == 1
+    assert record.seeds[0].reason == "non-finite gradient at epoch 1"
+
 
 def test_run_seed_isolation(sbm, monkeypatch):
     cfg = cfg_a(max_epochs=10, seeds=(0, 1, 2))
@@ -489,6 +500,19 @@ def test_training_aggregates_features_once_per_example(sbm, monkeypatch, kw):
     assert products.count(sbm.num_nodes) == 1
     # the s subgraphs partition the training nodes
     assert sum(products) == sbm.num_nodes + (trainer.train_nodes.size if subgraphs else 0)
+
+
+def test_kind_c_examples_hold_their_groups_rows(sbm):
+    # each subgraph example carries the dataset's feature and label rows of
+    # its group of the seed's split, in node order
+    cfg = ExperimentConfig(kind="C", optimizer="adam", s=4, seeds=(0,)).finalized()
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)
+    groups = random_partition(trainer.train_nodes, cfg.s,
+                              Prng(0, streams.STREAM_PARTITION))
+    assert len(trainer.examples) == len(groups)
+    for ex, keep in zip(trainer.examples, groups):
+        assert np.array_equal(ex.features, sbm.features[keep])
+        assert np.array_equal(ex.labels, sbm.labels[keep])
 
 
 @pytest.mark.parametrize("kind, optimizer, unit", [
