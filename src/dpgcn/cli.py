@@ -1,4 +1,4 @@
-"""Command line front end: run, account, split, synth.
+"""Command line front end: run, account, split, synth, convert.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on dataset errors.
 """
@@ -17,6 +17,7 @@ from .data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
 from .graph import mask_subgraph, random_partition
 from .harness import (ConfigError, emit_results, load_config, parse_key_values,
                       run_experiment)
+from .planetoid import convert
 from .rng import STREAM_PARTITION, Prng
 
 _SPEC_PARSERS = {
@@ -54,6 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="key=value file: block_sizes, p_intra, p_inter, "
                               "feature_dim, feature_shift, seed, name")
     p_synth.add_argument("--out", required=True)
+
+    p_conv = sub.add_parser("convert", help="convert a Planetoid citation dataset")
+    p_conv.add_argument("--name", required=True, choices=("cora", "citeseer", "pubmed"))
+    p_conv.add_argument("--raw-dir", required=True,
+                        help="directory holding the ind.<name>.* files")
+    p_conv.add_argument("--out", required=True)
+    p_conv.add_argument("--no-row-normalize", action="store_true",
+                        help="keep raw bag-of-words counts")
     return parser
 
 
@@ -129,11 +138,20 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _cmd_convert(args) -> int:
+    ds = convert(args.name, args.raw_dir, row_normalize=not args.no_row_normalize)
+    save_dataset(ds, args.out)
+    print(f"wrote {ds.name}: {ds.num_nodes} nodes, "
+          f"{ds.train_nodes.size} train / {ds.val_nodes.size} val / "
+          f"{ds.test_nodes.size} test -> {args.out}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": _cmd_run, "account": _cmd_account,
-                "split": _cmd_split, "synth": _cmd_synth}
+                "split": _cmd_split, "synth": _cmd_synth, "convert": _cmd_convert}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

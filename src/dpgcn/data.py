@@ -164,6 +164,8 @@ def load_dataset(path: str) -> Dataset:
     if (masks[:, 1] < 0).any():
         raise DatasetError("bad-mask-token", "masks must be train, val or test")
     train, val, test = (np.sort(masks[masks[:, 1] == m, 0]) for m in range(3))
+    if any((np.diff(ids) == 0).any() for ids in (train, val, test)):
+        raise DatasetError("duplicate-row", "masks.tsv lists a node twice")
     return Dataset(meta["name"], build_graph(n, edges), features, labels,
                    train, val, test, k, kind).validate()
 

@@ -65,14 +65,14 @@ def sgd_step(params: GcnParams, grad: np.ndarray, lr: float) -> None:
     params.add_flat(-lr * grad)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS_HAT = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     @classmethod
     def zeros(cls, dim: int) -> "AdamState":
@@ -88,7 +88,7 @@ def adam_step(state: AdamState, params: GcnParams, grad: np.ndarray,
     bit-identical to it.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     scratch = np.multiply(1.0 - b1, grad)
     state.m *= b1
     state.m += scratch
@@ -98,7 +98,7 @@ def adam_step(state: AdamState, params: GcnParams, grad: np.ndarray,
     state.v += scratch
     denom = np.divide(state.v, 1.0 - b2 ** state.t, out=scratch)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += state.eps_hat
+    denom += ADAM_EPS_HAT
     step = state.m / (1.0 - b1 ** state.t)  # m_hat
     step *= -lr
     step /= denom

@@ -70,12 +70,16 @@ def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> list[np.n
         raise ValueError("need at least one subgraph")
     if s > n:
         raise ValueError(f"cannot split {n} nodes into {s} subgraphs")
+    if nodes[0] < 0:
+        raise ValueError("negative node id")
     return [nodes[np.sort(chunk)] for chunk in np.array_split(rng.permutation(n), s)]
 
 
 def mask_subgraph(graph: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     """The subgraph induced by the nodes keep, relabeled so keep[i] is node i.
 
-    Edges with an endpoint outside keep are dropped.
+    Edges with an endpoint outside keep are dropped; a negative id is a ValueError.
     """
+    if keep.size and keep.min() < 0:
+        raise ValueError("negative node id")
     return graph[keep][:, keep]

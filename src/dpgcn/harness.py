@@ -380,8 +380,11 @@ def resolve_sigma(cfg: ExperimentConfig) -> float | None:
         return None
     if cfg.sigma is not None:
         return cfg.sigma
-    return calibrate_noise(cfg.target_epsilon, cfg.delta, cfg.lot_size / cfg.s,
-                           cfg.max_epochs * cfg.steps_per_epoch)
+    try:
+        return calibrate_noise(cfg.target_epsilon, cfg.delta, cfg.lot_size / cfg.s,
+                               cfg.max_epochs * cfg.steps_per_epoch)
+    except ValueError as exc:  # a target no noise multiplier up to 1e6 reaches
+        raise ConfigError(str(exc)) from exc
 
 
 def run_experiment(config: ExperimentConfig,

@@ -12,21 +12,22 @@ citeseer's test ids have gaps (some ids in the test range never appear);
 the missing rows are filled with zero features and left unlabeled, so
 they stay in the graph but out of every mask.
 
-Usage: python3 -m dpgcn.planetoid --name cora --raw-dir <download dir>
---out data/cora [--no-row-normalize]
+A missing file, a damaged pickle, a bad test-index line or test ids that
+do not follow the allx rows raise DatasetError, as load_dataset does.
+
+Usage: dpgcn convert --name cora --raw-dir <download dir> --out data/cora
+[--no-row-normalize]
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
-import sys
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset, save_dataset
+from .data import Dataset, DatasetError, _read_rows
 from .graph import build_graph
 
 _PARTS = ("x", "y", "tx", "ty", "allx", "ally", "graph")
@@ -34,19 +35,14 @@ _PARTS = ("x", "y", "tx", "ty", "allx", "ally", "graph")
 
 def _read_pickle(raw_dir: str, name: str, part: str):
     path = os.path.join(raw_dir, f"ind.{name}.{part}")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing Planetoid file: {path}")
+    if not os.path.isfile(path):
+        raise DatasetError("missing-file", f"missing Planetoid file: {path}")
     with open(path, "rb") as fh:
-        return pickle.load(fh, encoding="latin1")
-
-
-def _read_test_index(raw_dir: str, name: str) -> np.ndarray:
-    path = os.path.join(raw_dir, f"ind.{name}.test.index")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing Planetoid file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return np.array([int(line) for line in fh if line.strip()],
-                        dtype=np.int64)
+        try:
+            return pickle.load(fh, encoding="latin1")
+        except Exception as exc:  # a damaged pickle can raise almost anything
+            raise DatasetError("bad-row", f"ind.{name}.{part}: "
+                               f"{type(exc).__name__}: {exc}") from None
 
 
 def convert(name: str, raw_dir: str, row_normalize: bool = True,
@@ -58,10 +54,15 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
     """
     x, y, tx, ty, allx, ally, graph = (
         _read_pickle(raw_dir, name, part) for part in _PARTS)
-    test_index = _read_test_index(raw_dir, name)
+    test_index = _read_rows(os.path.join(raw_dir, f"ind.{name}.test.index"),
+                            (int,))[:, 0]
+    lo = allx.shape[0]  # the test rows must follow the allx rows
+    if test_index.size == 0 or test_index.min() != lo:
+        raise DatasetError("index-out-of-range", f"ind.{name}.test.index: test "
+                           "ids do not sit at the end of the node range")
+    hi = test_index.max()
 
     # fill holes in the test id range (citeseer) with zero rows
-    lo, hi = int(test_index.min()), int(test_index.max())
     span = hi - lo + 1
     tx_full = np.zeros((span, allx.shape[1]), dtype=np.float64)
     ty_full = np.zeros((span, ally.shape[1]), dtype=np.float64)
@@ -72,8 +73,6 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
                                      .todense()), tx_full])
     onehot = np.vstack([ally, ty_full])
     num_nodes = features.shape[0]
-    if hi != num_nodes - 1:
-        raise ValueError("test ids do not sit at the end of the node range")
 
     labels = np.where(onehot.sum(axis=1) > 0, onehot.argmax(axis=1),
                       -1).astype(np.int64)
@@ -98,31 +97,3 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
         val_nodes=val_nodes, test_nodes=test_nodes.astype(np.int64),
         num_classes=onehot.shape[1], feature_kind="sparse").validate()
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Convert a Planetoid citation dataset to the dpgcn "
-                    "directory format")
-    parser.add_argument("--name", required=True, choices=("cora", "citeseer",
-                                                          "pubmed"))
-    parser.add_argument("--raw-dir", required=True,
-                        help="directory holding the ind.<name>.* files")
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--no-row-normalize", action="store_true",
-                        help="keep raw bag-of-words counts")
-    args = parser.parse_args(argv)
-    try:
-        ds = convert(args.name, args.raw_dir,
-                     row_normalize=not args.no_row_normalize)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    save_dataset(ds, args.out)
-    print(f"wrote {ds.name}: {ds.num_nodes} nodes, "
-          f"{ds.train_nodes.size} train / {ds.val_nodes.size} val / "
-          f"{ds.test_nodes.size} test -> {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,7 @@ def load_real(name: str) -> Dataset:
     path = dataset_dir(name)
     if path is None:
         pytest.skip(f"no converted '{name}' dataset (see README: "
-                    "python -m dpgcn.planetoid writes data/{name})")
+                    "dpgcn convert writes data/{name})")
     return load_dataset(path)
 
 

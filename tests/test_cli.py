@@ -128,6 +128,16 @@ def test_run_dp_reports_epsilon(synth_dir, tmp_path, capsys):
     assert "epsilon=" in capsys.readouterr().out
 
 
+def test_run_unreachable_target_epsilon_exits_2(synth_dir, tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        f"dataset = {synth_dir}\nkind = B\noptimizer = adam-dp\n"
+        "target_epsilon = 0.000001\nmax_epochs = 8\nseeds = 0\n")
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "results")]) == 2
+    assert "config error: epsilon 1e-06 unreachable" in capsys.readouterr().err
+
+
 def test_run_unknown_config_key_exits_2(synth_dir, tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(f"dataset = {synth_dir}\nturbo = on\n")

@@ -4,8 +4,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dpgcn.data import load_dataset
-from dpgcn.planetoid import convert, main
+from dpgcn.cli import main
+from dpgcn.data import DatasetError, load_dataset
+from dpgcn.planetoid import convert
+from test_data import assert_dataset_equal
+
+
+def dump_planetoid(root, name, parts, test_index):
+    """Write the upstream layout: seven pickles and a text test index."""
+    root.mkdir(exist_ok=True)
+    for part, payload in parts.items():
+        with open(root / f"ind.{name}.{part}", "wb") as fh:
+            pickle.dump(payload, fh)
+    (root / f"ind.{name}.test.index").write_text(
+        "".join(f"{i}\n" for i in test_index))
+    return str(root)
 
 
 def write_fake_planetoid(root, name="cora"):
@@ -15,26 +28,36 @@ def write_fake_planetoid(root, name="cora"):
     the validation window), 6-9 are the test range with node 8 missing
     from the test index (the citeseer-style gap).
     """
-    root.mkdir(exist_ok=True)
     allx = sp.csr_matrix(np.array([
         [2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0],
         [0.0, 0.0, 3.0], [1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]))
     ally = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1]])
-    x, y = allx[:2], ally[:2]
-    test_index = [6, 7, 9]
     tx = sp.csr_matrix(np.array([
         [1.0, 1.0, 1.0], [0.0, 4.0, 0.0], [5.0, 0.0, 5.0]]))
     ty = np.array([[0, 1], [1, 0], [0, 1]])
     graph = {0: [1, 6, 3], 1: [0], 2: [2, 4], 3: [0], 4: [2], 5: [9],
              6: [0], 7: [], 8: [5], 9: [5]}
-    parts = {"x": x, "y": y, "tx": tx, "ty": ty, "allx": allx, "ally": ally,
-             "graph": graph}
-    for part, payload in parts.items():
-        with open(root / f"ind.{name}.{part}", "wb") as fh:
-            pickle.dump(payload, fh)
-    (root / f"ind.{name}.test.index").write_text(
-        "".join(f"{i}\n" for i in test_index))
-    return str(root)
+    parts = {"x": allx[:2], "y": ally[:2], "tx": tx, "ty": ty, "allx": allx,
+             "ally": ally, "graph": graph}
+    return dump_planetoid(root, name, parts, [6, 7, 9])
+
+
+def write_wide_planetoid(root, name="cora"):
+    """508 nodes, so the fixed 500-node validation window fits.
+
+    Nodes 0-1 are originally labeled, 2-501 the validation window, 502-503
+    the rest of the labeled block; 504-507 is the test range with node
+    506 missing from the test index.
+    """
+    rng = np.random.default_rng(0)
+    allx = sp.csr_matrix(rng.integers(0, 3, size=(504, 4)).astype(float))
+    ally = np.eye(3, dtype=int)[np.arange(504) % 3]
+    tx = sp.csr_matrix(rng.integers(0, 3, size=(3, 4)).astype(float))
+    ty = np.eye(3, dtype=int)[[2, 0, 1]]
+    graph = {i: [i + 1, (7 * i) % 508] for i in range(507)}
+    parts = {"x": allx[:2], "y": ally[:2], "tx": tx, "ty": ty, "allx": allx,
+             "ally": ally, "graph": graph}
+    return dump_planetoid(root, name, parts, [504, 505, 507])
 
 
 def test_convert_full_split(tmp_path):
@@ -83,25 +106,55 @@ def test_convert_labels_follow_onehots(tmp_path):
 def test_convert_missing_file_raises(tmp_path):
     raw = write_fake_planetoid(tmp_path / "raw")
     (tmp_path / "raw" / "ind.cora.graph").unlink()
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(DatasetError) as exc:
         convert("cora", raw, val_count=2)
+    assert exc.value.code == "missing-file"
+    assert "ind.cora.graph" in str(exc.value)
 
 
-def test_converter_main_writes_loadable_dir(tmp_path, capsys):
-    write_fake_planetoid(tmp_path / "raw")
-    # the CLI path uses the real 500-node validation window, which this
-    # miniature cannot satisfy; exercise main through convert's save path
+def test_convert_test_ids_must_follow_allx(tmp_path):
+    raw = write_fake_planetoid(tmp_path / "raw")
+    (tmp_path / "raw" / "ind.cora.test.index").write_text("5\n6\n8\n")
+    with pytest.raises(DatasetError) as exc:
+        convert("cora", raw, val_count=2)
+    assert exc.value.code == "index-out-of-range"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-row-normalize"]],
+                         ids=["normalized", "raw-counts"])
+def test_convert_cli_writes_loadable_dir(tmp_path, capsys, flags):
+    raw = write_wide_planetoid(tmp_path / "raw")
     out = tmp_path / "data" / "cora"
-    from dpgcn.data import save_dataset
-    ds = convert("cora", str(tmp_path / "raw"), val_count=2)
-    save_dataset(ds, str(out))
-    loaded = load_dataset(str(out))
-    assert loaded.feature_kind == "sparse"
-    assert loaded.num_nodes == 10
-    assert np.array_equal(loaded.features, ds.features)
+    assert main(["convert", "--name", "cora", "--raw-dir", raw,
+                 "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote cora: 508 nodes, 4 train / 500 val / 3 test -> {out}\n")
+    want = convert("cora", raw, row_normalize=not flags)
+    assert_dataset_equal(load_dataset(str(out)), want)
+    assert want.feature_kind == "sparse"
+    assert np.array_equal(want.train_nodes, [0, 1, 502, 503])
+    assert (want.features.max() > 1.0) == bool(flags)  # raw counts reach 2
 
 
-def test_converter_main_missing_dir_exits_2(tmp_path, capsys):
-    assert main(["--name", "cora", "--raw-dir", str(tmp_path / "ghost"),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert "missing Planetoid file" in capsys.readouterr().err
+def _junk_pickle(raw):
+    (raw / "ind.cora.graph").write_bytes(b"junk")
+
+
+def _bad_test_index(raw):
+    (raw / "ind.cora.test.index").write_text("6\nseven\n9\n")
+
+
+@pytest.mark.parametrize("damage,message", [
+    (None, "missing-file: missing Planetoid file: "),
+    (_junk_pickle, "bad-row: ind.cora.graph: "),
+    (_bad_test_index, "bad-row: ind.cora.test.index:2: "),
+], ids=["missing-dir", "junk-pickle", "bad-test-index"])
+def test_convert_cli_bad_raw_dir_exits_3(tmp_path, capsys, damage, message):
+    raw = tmp_path / "raw"
+    if damage is not None:  # None: the raw directory does not exist
+        write_fake_planetoid(raw)
+        damage(raw)
+    assert main(["convert", "--name", "cora", "--raw-dir", str(raw),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"dataset error: {message}")
+    assert not (tmp_path / "out").exists()

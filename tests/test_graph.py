@@ -203,6 +203,8 @@ def test_partition_errors():
         random_partition(np.arange(3), 4, Prng(0))
     with pytest.raises(ValueError):
         random_partition(np.arange(3), 0, Prng(0))
+    with pytest.raises(ValueError):  # numpy would wrap it to the last node
+        random_partition(np.array([-2, 0, 1]), 2, Prng(0))
 
 
 def test_partition_covers_exact_node_set():
@@ -269,6 +271,8 @@ def test_mask_index_error():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(IndexError):  # a node id past the graph
         mask_subgraph(g, np.array([0, 2]))
+    with pytest.raises(ValueError):  # numpy would wrap it to the last node
+        mask_subgraph(build_graph(3, [(0, 1), (1, 2)]), np.array([-1, 1]))
 
 
 @given(seed=st.integers(0, 50), s=st.integers(1, 6))

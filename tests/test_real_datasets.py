@@ -2,7 +2,7 @@
 
 These tests skip unless a converted dataset directory exists (either
 under $DPGCN_DATA or ../data relative to this file); see the README for
-how to produce one with python -m dpgcn.planetoid.
+how to produce one with dpgcn convert.
 """
 
 import numpy as np
