@@ -91,9 +91,9 @@ def test_fixture_round_trips_through_save(tmp_path):
     (dict(labels=("9\t0",)), "index-out-of-range"),
     (dict(masks=("0\tTRAIN",)), "bad-mask-token"),
     (dict(masks=("0\ttrain", "0\tval")), "overlapping-masks"),
-    (dict(masks=("0\ttrain", "0\ttrain")), "duplicate-row"),
     (dict(masks=("9\ttrain",)), "index-out-of-range"),
     (dict(labels=("0\t0", "1\t1"), masks=("2\ttest",)), "unlabeled-masked-node"),
+    (dict(masks=("0\ttrain", "0\ttrain")), "duplicate-row"),
 ])
 def test_load_error_codes(tmp_path, mutate, code):
     path = write_fixture(tmp_path / "bad", **mutate)
