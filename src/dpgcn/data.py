@@ -9,6 +9,7 @@ the same dataset twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ class Dataset:
                                "feature rows do not match node count")
         if self.feature_dim < 1:
             raise DatasetError("bad-meta", "need at least one feature column")
+        _check_feature_kind(self.feature_kind)
         if not np.isfinite(self.features).all():
             raise DatasetError("non-finite-feature", "features must be finite")
         if self.num_classes < 2:
@@ -75,6 +77,11 @@ class Dataset:
             raise DatasetError("unlabeled-masked-node",
                                "every masked node needs a label")
         return self
+
+
+def _check_feature_kind(kind) -> None:
+    if kind not in ("dense", "sparse"):
+        raise DatasetError("bad-meta", f"unknown feature_kind '{kind}'")
 
 
 def _read_rows(path: str, types: tuple) -> np.ndarray:
@@ -125,8 +132,7 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetError("bad-meta", "num_nodes, feature_dim and num_classes "
                            "must be non-negative integers")
     kind = meta["feature_kind"]
-    if kind not in ("dense", "sparse"):
-        raise DatasetError("bad-meta", f"unknown feature_kind '{kind}'")
+    _check_feature_kind(kind)
 
     edges = _read_rows(os.path.join(path, "edges.tsv"), (int, int))
     i, j = edges.T
@@ -226,6 +232,8 @@ class SynthSpec:
                 raise ValueError("edge probabilities must be in [0, 1]")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
+        if not math.isfinite(self.feature_shift):
+            raise ValueError("feature_shift must be finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -1,12 +1,12 @@
 """Experiment driver: every kind trains on a list of examples.
 
-An example is a graph, its features and labels, and a mask of the nodes
-whose loss counts. Kinds A (non-private) and B (DP, q = 1) have one: the
-full graph with the training nodes as mask. Kind C has s, the disjoint
-induced subgraphs of a random split of the training nodes. Each example
-holds its aggregated features A X, computed once per seed. Non-DP
-training sweeps the examples in random order, one step each; DP training
-samples lots of lot_size examples, one noised step per lot.
+An example is a graph, its aggregated features A X (computed once per
+seed) and labels, and a mask of the nodes whose loss counts. Kinds A
+(non-private) and B (DP, q = 1) have one: the full graph with the training
+nodes as mask. Kind C has s, the disjoint induced subgraphs of a random
+split of the training nodes. Non-DP training sweeps the examples in random
+order, one step each; DP training samples lots of lot_size examples, one
+noised step per lot.
 """
 
 from __future__ import annotations
@@ -224,18 +224,17 @@ class ResultsRecord:
 
 @dataclass(frozen=True)
 class Example:
-    """A graph, its node data, the mask of nodes whose loss counts, and
+    """A graph, its labels, the mask of nodes whose loss counts, and
     ax = adj @ features, which stays fixed for the whole run."""
 
     adj: sp.csr_matrix
-    features: np.ndarray
     labels: np.ndarray
     mask: np.ndarray
     ax: np.ndarray
 
     @classmethod
     def of(cls, adj, features, labels, mask) -> "Example":
-        return cls(adj, features, labels, mask, spmm(adj, features))
+        return cls(adj, labels, mask, spmm(adj, features))
 
 
 def _training_count(cfg: ExperimentConfig, available: int) -> int:
@@ -304,8 +303,7 @@ class _Trainer:
         loss = masked_cross_entropy(ex.labels, ex.mask, log_probs=log_probs)
         _require_finite(loss, "loss", epoch)
         self.last_loss = loss
-        grad = backward(self.params, trace, ex.adj, ex.features, ex.labels,
-                        ex.mask, log_probs=log_probs)
+        grad = backward(trace, ex.labels, ex.mask, log_probs=log_probs)
         # a NaN or inf entry, or a squared norm past the float range, which
         # clip_gradient would reject
         _require_finite(float(grad.dot(grad)), "gradient", epoch)
@@ -346,10 +344,8 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
     trainer = _Trainer(dataset, cfg, seed, sigma)
     history: list[float] = []
     best_params = None
-    epochs_run = 0
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, cfg.max_epochs + 1):  # max_epochs >= 1: epoch is bound
         trainer.run_epoch(epoch)
-        epochs_run = epoch
         if cfg.early_stopping:
             history.append(trainer.val_score())
             stop, best = early_stop_check(history, cfg.patience)
@@ -357,12 +353,11 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
                 best_params = trainer.params.copy()
             if stop:
                 break
-    eval_params = best_params if (cfg.early_stopping and best_params is not None) \
-        else trainer.params
+    eval_params = trainer.params if best_params is None else best_params
     metrics = trainer.metrics(eval_params, dataset.test_nodes)
     outcome = SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
                           f1_macro=macro_f1(metrics.confusion),
-                          epochs=epochs_run,
+                          epochs=epoch,
                           seconds=time.perf_counter() - start,
                           final_loss=trainer.last_loss,
                           errors=[int(i) for i in metrics.errors])

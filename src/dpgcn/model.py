@@ -43,6 +43,9 @@ class GcnParams:
 
 @dataclass
 class ForwardTrace:
+    params: GcnParams       # not a copy: backward must run before a step
+    adj: sp.csr_matrix
+    ax: np.ndarray          # A X; W0's gradient is (A X)^T G0 = X^T A G0
     pre_hidden: np.ndarray  # Z0, before relu
     hidden: np.ndarray      # H1 after relu and dropout scaling
     logits: np.ndarray
@@ -85,7 +88,7 @@ def forward(params: GcnParams, adj: sp.csr_matrix, *, ax: np.ndarray,
         keep_scale = np.ones_like(h)
     h *= keep_scale
     logits = spmm(adj, h) @ params.w1
-    return ForwardTrace(z0, h, logits, keep_scale)
+    return ForwardTrace(params, adj, ax, z0, h, logits, keep_scale)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -93,19 +96,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def masked_log_probs(logits: np.ndarray, labels: np.ndarray,
-                     mask) -> np.ndarray:
-    """Log-softmax of the masked rows of logits, one row per mask entry.
-
-    Checks that the mask is non-empty and that every masked label is a
-    class of logits.
-    """
+def _masked_labels(labels: np.ndarray, mask,
+                   num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask as int64 ids and its labels; checks that the mask is
+    non-empty and that every masked label is one of num_classes."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
     y = np.asarray(labels)[mask]
-    if y.min() < 0 or y.max() >= logits.shape[1]:
+    if y.min() < 0 or y.max() >= num_classes:
         raise ValueError("label out of range on a masked node")
+    return mask, y
+
+
+def masked_log_probs(logits: np.ndarray, labels: np.ndarray,
+                     mask) -> np.ndarray:
+    """Log-softmax of the masked rows of logits, one row per mask entry."""
+    mask, _ = _masked_labels(labels, mask, logits.shape[1])
     return _log_softmax(logits[mask])
 
 
@@ -127,13 +134,13 @@ def masked_cross_entropy(labels: np.ndarray, mask, *,
     return float(-(log_probs[np.arange(mask.size), y].sum() / mask.size))
 
 
-def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
-             features: np.ndarray, labels: np.ndarray, mask, *,
+def backward(trace: ForwardTrace, labels: np.ndarray, mask, *,
              log_probs: np.ndarray) -> np.ndarray:
     """Flat gradient (w0 then w1) of the masked loss at the traced point.
 
     ``log_probs`` is masked_log_probs(trace.logits, labels, mask).
     """
+    params = trace.params
     mask = np.asarray(mask, dtype=np.int64)
     _check_log_probs(log_probs, mask)
     n, k = trace.logits.shape[0], log_probs.shape[1]
@@ -143,26 +150,22 @@ def backward(params: GcnParams, trace: ForwardTrace, adj: sp.csr_matrix,
     # scatter-add, so a node repeated in the mask counts once per entry
     flat = (mask[:, None] * k + np.arange(k)).ravel()
     g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
-    ag1 = spmm(adj, g1)  # A is symmetric, so this is A^T g1
+    ag1 = spmm(trace.adj, g1)  # A is symmetric, so this is A^T g1
     grad = np.empty(params.size)
     split = params.w0.size
     np.matmul(trace.hidden.T, ag1, out=grad[split:].reshape(params.w1.shape))
     g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
-    np.matmul(np.asarray(features, dtype=np.float64).T, spmm(adj, g0),
-              out=grad[:split].reshape(params.w0.shape))
+    np.matmul(trace.ax.T, g0, out=grad[:split].reshape(params.w0.shape))
     return grad
 
 
 def evaluate(params: GcnParams, adj: sp.csr_matrix, labels: np.ndarray,
              mask, *, ax: np.ndarray) -> Metrics:
     """Micro-F1, confusion matrix, and error set on the masked nodes."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
+    k = params.w1.shape[1]
+    mask, true = _masked_labels(labels, mask, k)
     trace = forward(params, adj, ax=ax)
     pred = trace.logits[mask].argmax(axis=1)  # ties resolve to lowest index
-    true = np.asarray(labels)[mask]
-    k = trace.logits.shape[1]
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (true, pred), 1)
     hits = pred == true

@@ -12,8 +12,10 @@ citeseer's test ids have gaps (some ids in the test range never appear);
 the missing rows are filled with zero features and left unlabeled, so
 they stay in the graph but out of every mask.
 
-A missing file, a damaged pickle, a bad test-index line or test ids that
-do not follow the allx rows raise DatasetError, as load_dataset does.
+A missing file, a damaged pickle, a graph that is not a mapping, a bad
+test-index line, test ids that do not follow the allx rows, or row counts
+that disagree (tx and ty against the test ids, ally against allx) raise
+DatasetError, as load_dataset does.
 
 Usage: dpgcn convert --name cora --raw-dir <download dir> --out data/cora
 [--no-row-normalize]
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from collections.abc import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +63,15 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
     if test_index.size == 0 or test_index.min() != lo:
         raise DatasetError("index-out-of-range", f"ind.{name}.test.index: test "
                            "ids do not sit at the end of the node range")
+    for part, rows, want in (("tx", tx, test_index.size),
+                             ("ty", ty, test_index.size),
+                             ("ally", ally, allx.shape[0])):
+        if rows.shape[0] != want:
+            raise DatasetError("shape-mismatch", f"ind.{name}.{part}: "
+                               f"{rows.shape[0]} rows, expected {want}")
+    if not isinstance(graph, Mapping):
+        raise DatasetError("bad-row", f"ind.{name}.graph: not a mapping "
+                           "from node id to neighbour ids")
     hi = test_index.max()
 
     # fill holes in the test id range (citeseer) with zero rows

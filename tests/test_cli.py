@@ -71,6 +71,17 @@ def test_synth_duplicate_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+def test_synth_non_finite_feature_shift_exits_2(tmp_path, capsys, shift):
+    # a spec error, caught before any feature is drawn
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC_TEXT.replace("feature_shift = 2.0",
+                                      f"feature_shift = {shift}"))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    assert "feature_shift must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("command,flag", [("run", "--config"),
                                           ("synth", "--spec")])
 @pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])

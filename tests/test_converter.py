@@ -144,11 +144,26 @@ def _bad_test_index(raw):
     (raw / "ind.cora.test.index").write_text("6\nseven\n9\n")
 
 
+def _repickle(part, payload):
+    def damage(raw):
+        with open(raw / f"ind.cora.{part}", "wb") as fh:
+            pickle.dump(payload, fh)
+    return damage
+
+
 @pytest.mark.parametrize("damage,message", [
     (None, "missing-file: missing Planetoid file: "),
     (_junk_pickle, "bad-row: ind.cora.graph: "),
     (_bad_test_index, "bad-row: ind.cora.test.index:2: "),
-], ids=["missing-dir", "junk-pickle", "bad-test-index"])
+    (_repickle("graph", [[1], [0]]), "bad-row: ind.cora.graph: not a mapping"),
+    (_repickle("tx", sp.csr_matrix(np.ones((2, 3)))),
+     "shape-mismatch: ind.cora.tx: 2 rows, expected 3"),
+    (_repickle("ty", np.eye(2, dtype=int)[[0, 1, 0, 1]]),
+     "shape-mismatch: ind.cora.ty: 4 rows, expected 3"),
+    (_repickle("ally", np.eye(2, dtype=int)[[0, 1, 0, 1, 0]]),
+     "shape-mismatch: ind.cora.ally: 5 rows, expected 6"),
+], ids=["missing-dir", "junk-pickle", "bad-test-index", "graph-not-mapping",
+        "tx-rows", "ty-rows", "ally-rows"])
 def test_convert_cli_bad_raw_dir_exits_3(tmp_path, capsys, damage, message):
     raw = tmp_path / "raw"
     if damage is not None:  # None: the raw directory does not exist

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,16 @@ def test_validate_rejects_bad_datasets():
         Dataset(base.name, base.graph, base.features, base.labels,
                 np.array([3]), base.val_nodes, base.test_nodes, 2).validate()
     assert exc.value.code == "unlabeled-masked-node"
+
+
+def test_save_rejects_unknown_feature_kind_before_writing(tmp_path):
+    # load_dataset reads only "dense" and "sparse", so save_dataset must not
+    # write a directory with any other kind
+    ds = replace(small_dataset(), feature_kind="csv")
+    with pytest.raises(DatasetError) as exc:
+        save_dataset(ds, str(tmp_path / "out"))
+    assert str(exc.value) == "bad-meta: unknown feature_kind 'csv'"
+    assert not (tmp_path / "out").exists()
 
 
 # ---- generate_synthetic ----

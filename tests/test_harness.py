@@ -502,16 +502,34 @@ def test_training_aggregates_features_once_per_example(sbm, monkeypatch, kw):
     assert sum(products) == sbm.num_nodes + (trainer.train_nodes.size if subgraphs else 0)
 
 
+def test_dp_step_makes_two_sparse_products_per_example(sbm, monkeypatch):
+    # forward multiplies A by H1 and backward A by G1; A X is the example's
+    # cached product, so one lot of L = 2 examples makes 4 calls
+    cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=2, lot_size=2,
+                           sigma=2.0, max_epochs=1, seeds=(0,)).finalized()
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=cfg.sigma)
+    calls = []
+
+    def counting(adj, dense):
+        calls.append(adj.shape[0])
+        return spmm(adj, dense)
+
+    monkeypatch.setattr(model_mod, "spmm", counting)
+    trainer.run_epoch(1)
+    assert cfg.steps_per_epoch == 1
+    assert len(calls) == 4
+
+
 def test_kind_c_examples_hold_their_groups_rows(sbm):
-    # each subgraph example carries the dataset's feature and label rows of
-    # its group of the seed's split, in node order
+    # each subgraph example carries A X for the dataset's feature rows and
+    # the label rows of its group of the seed's split, in node order
     cfg = ExperimentConfig(kind="C", optimizer="adam", s=4, seeds=(0,)).finalized()
     trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)
     groups = random_partition(trainer.train_nodes, cfg.s,
                               Prng(0, streams.STREAM_PARTITION))
     assert len(trainer.examples) == len(groups)
     for ex, keep in zip(trainer.examples, groups):
-        assert np.array_equal(ex.features, sbm.features[keep])
+        assert np.array_equal(ex.ax, spmm(ex.adj, sbm.features[keep]))
         assert np.array_equal(ex.labels, sbm.labels[keep])
 
 

@@ -27,15 +27,15 @@ def loss_of(logits, labels, mask):
     return masked_cross_entropy(labels, mask, log_probs=log_probs)
 
 
-def gradient_of(params, trace, adj, feats, labels, mask):
+def gradient_of(trace, labels, mask):
     log_probs = masked_log_probs(trace.logits, labels, mask)
-    return backward(params, trace, adj, feats, labels, mask, log_probs=log_probs)
+    return backward(trace, labels, mask, log_probs=log_probs)
 
 
 def analytic_gradient(params, adj, feats, labels, mask):
     """The gradient training computes, at params with dropout off."""
     trace = run_forward(params, adj, feats)
-    return gradient_of(params, trace, adj, feats, labels, mask)
+    return gradient_of(trace, labels, mask)
 
 
 # ---- init_params ----
@@ -280,8 +280,8 @@ def test_backward_dropout_mask_respected():
     rng = Prng(4, stream=STREAM_DROPOUT)
     t1 = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
     t2 = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
-    g1 = gradient_of(params, t1, adj, feats, labels, mask)
-    g2 = gradient_of(params, t2, adj, feats, labels, mask)
+    g1 = gradient_of(t1, labels, mask)
+    g2 = gradient_of(t2, labels, mask)
     assert not np.array_equal(g1, g2)
 
 
@@ -313,7 +313,7 @@ def reference_backward(params, trace, adj, feats, labels, mask):
     ag1 = spmm(adj, g1)
     grad_w1 = trace.hidden.T @ ag1
     g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
-    grad_w0 = feats.T @ spmm(adj, g0)
+    grad_w0 = spmm(adj, feats).T @ g0
     return np.concatenate([grad_w0.ravel(), grad_w1.ravel()])
 
 
@@ -345,7 +345,7 @@ def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
     assert masked_cross_entropy(labels, mask, log_probs=log_probs) == want_loss
 
     want_grad = reference_backward(params, trace, adj, feats, labels, mask)
-    grad = backward(params, trace, adj, feats, labels, mask, log_probs=log_probs)
+    grad = backward(trace, labels, mask, log_probs=log_probs)
     assert grad.dtype == np.float64
     assert np.array_equal(grad, want_grad)
     # backward reads log_probs and leaves it as it was
@@ -365,9 +365,9 @@ def test_backward_errors():
     adj, feats, labels, params = tiny_setup(3, 2, 4, 2, 59)
     trace = run_forward(params, adj, feats)
     with pytest.raises(ValueError, match="empty mask"):
-        gradient_of(params, trace, adj, feats, labels, np.array([], dtype=int))
+        gradient_of(trace, labels, np.array([], dtype=int))
     with pytest.raises(ValueError, match="label out of range"):
-        gradient_of(params, trace, adj, feats, np.array([0, 1, 2]), np.array([2]))
+        gradient_of(trace, np.array([0, 1, 2]), np.array([2]))
 
 
 def test_log_probs_must_match_mask():
@@ -382,12 +382,13 @@ def test_log_probs_must_match_mask():
         with pytest.raises(ValueError, match="log_probs do not match"):
             masked_cross_entropy(labels, bad_mask, log_probs=bad)
         with pytest.raises(ValueError, match="log_probs do not match"):
-            backward(params, trace, adj, feats, labels, bad_mask, log_probs=bad)
+            backward(trace, labels, bad_mask, log_probs=bad)
 
 
 def test_old_call_forms_raise_type_error():
     # the A X input and the log-probabilities are required keywords, so
-    # X cannot pass for A X, nor logits for log-probabilities
+    # X cannot pass for A X, nor logits for log-probabilities; backward
+    # reads params, A and A X from the trace and takes no X
     adj, feats, labels, params = tiny_setup(4, 2, 4, 3, 67)
     mask = np.array([0, 3])
     trace = run_forward(params, adj, feats)
@@ -396,7 +397,9 @@ def test_old_call_forms_raise_type_error():
         lambda: forward(params, adj, feats),
         lambda: evaluate(params, adj, feats, labels, mask),
         lambda: masked_cross_entropy(trace.logits, labels, mask),
-        lambda: backward(params, trace, adj, feats, labels, mask),
+        lambda: backward(trace, labels, mask),
+        lambda: backward(params, trace, adj, feats, labels, mask,
+                         log_probs=log_probs),
         lambda: masked_cross_entropy(trace.logits, labels, mask,
                                      log_probs=log_probs),
     ]
@@ -454,6 +457,22 @@ def test_evaluate_micro_f1_is_trace_fraction():
     mask = np.arange(10)
     m = evaluate(params, adj, labels, mask, ax=spmm(adj, feats))
     assert m.micro_f1 == pytest.approx(np.trace(m.confusion) / mask.size, abs=0)
+
+
+def test_evaluate_rejects_out_of_range_masked_labels():
+    # a -1 (unlabeled) or too-large label on a masked node is the error
+    # masked_log_probs raises, not a count in a wrapped confusion row
+    adj, feats, labels, params = tiny_setup(3, 2, 4, 2, 71)
+    ax = spmm(adj, feats)
+    for bad in (-1, 2):
+        labels[0] = bad
+        with pytest.raises(ValueError, match="label out of range"):
+            evaluate(params, adj, labels, np.array([0, 1, 2]), ax=ax)
+        # unmasked, the same label is never read
+        m = evaluate(params, adj, labels, np.array([1, 2]), ax=ax)
+        assert m.confusion.sum() == 2
+    with pytest.raises(ValueError, match="empty mask"):
+        evaluate(params, adj, labels, np.array([], dtype=int), ax=ax)
 
 
 def test_macro_f1_hand_case():
