@@ -37,8 +37,8 @@ class AccountantLedger:
 
     def __post_init__(self):
         orders = self.moment_orders
-        if not orders or any(o < 1 for o in orders):
-            raise ValueError("moment orders must be a nonempty positive grid")
+        if not orders or any(o < 1 or not float(o).is_integer() for o in orders):
+            raise ValueError("moment orders must be nonempty positive integers")
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError("moment orders must be strictly increasing")
 
@@ -75,42 +75,47 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
     alpha = log1p(sum_{k=2..a} C(a,k) (1-q)^(a-k) q^k expm1((k^2-k)/(2 sigma^2))).
     Every term is positive, so the sum is taken in log space with nothing
     to cancel; log expm1(x) = x + log(-expm1(-x)) neither overflows at tiny
-    sigma nor underflows at huge sigma.
+    sigma nor underflows at huge sigma. Uncached, lam may be an array: row i
+    of one table holds the terms k = 2..max(lam)+1, masked to k <= lam[i] + 1.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("sampling ratio must be in (0, 1]")
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    a = int(lam) + 1
-    log_fact = np.array([math.lgamma(n + 1.0) for n in range(a + 1)])
-    k = np.arange(2, a + 1)
+    lams = np.asarray(lam)
+    if lams.min() < 1:
+        raise ValueError("moment order must be at least 1")
+    if np.any(lams % 1):
+        raise ValueError("moment orders must be integers")
+    a = lams.astype(np.int64)[..., None] + 1
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(a.max() + 1)])
+    k = np.arange(2, a.max() + 1)
     x = k * (k - 1) / (2.0 * sigma * sigma)
     log_terms = (log_fact[a] - log_fact[k] - log_fact[a - k] + k * math.log(q)
                  + x + np.log(-np.expm1(-x)))
     if q < 1.0:
         log_terms += (a - k) * math.log1p(-q)
-    else:  # (1 - q)^(a - k) vanishes for every k < a
-        log_terms = log_terms[-1:]
-    top = float(log_terms.max())
-    return float(np.logaddexp(0.0, top + math.log(np.exp(log_terms - top).sum())))
+    # k > a is outside the row; at q = 1, (1 - q)^(a - k) vanishes for every k < a
+    log_terms[(k > a) | ((k < a) & (q == 1.0))] = -np.inf
+    top = log_terms.max(axis=-1, keepdims=True)
+    return np.logaddexp(0.0, top[..., 0] + np.log(np.exp(log_terms - top).sum(axis=-1)))
 
 
-def log_moment(q: float, sigma: float, lam: int) -> float:
-    """Per-step log moment of order lam; exact at q = 1 and, by expansion, below."""
-    if lam < 1:
+def log_moment(q: float, sigma: float, lam):
+    """Per-step log moment at order lam, or at each order of an array lam."""
+    lam = np.asarray(lam)
+    if lam.min() < 1:
         raise ValueError("moment order must be at least 1")
     if q == 1.0:
         return gaussian_log_moment(sigma, lam)
-    return subsampled_log_moment(q, sigma, int(lam))
+    return subsampled_log_moment.__wrapped__(q, sigma, lam)
 
 
 def compose(ledger: AccountantLedger) -> np.ndarray:
     """Total log moment per order: sum over records of steps * alpha."""
     totals = np.zeros(len(ledger.moment_orders))
     for rec in ledger.records:
-        per_step = np.array([log_moment(rec.q, rec.sigma, lam)
-                             for lam in ledger.moment_orders])
-        totals += rec.steps * per_step
+        totals += rec.steps * log_moment(rec.q, rec.sigma, ledger.moment_orders)
     return totals
 
 

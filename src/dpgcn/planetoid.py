@@ -12,10 +12,12 @@ citeseer's test ids have gaps (some ids in the test range never appear);
 the missing rows are filled with zero features and left unlabeled, so
 they stay in the graph but out of every mask.
 
-A missing file, a damaged pickle, a graph that is not a mapping, a bad
-test-index line, test ids that do not follow the allx rows, or row counts
-that disagree (tx and ty against the test ids, ally against allx) raise
-DatasetError, as load_dataset does.
+A missing file, a damaged pickle, a feature or label part that is not a
+2-D matrix, a graph that is not a mapping from node ids to lists of node
+ids, a bad test-index line, test ids that do not follow the allx rows, or
+shapes that disagree (tx and ty rows against the test ids, ally rows
+against allx, tx and ty columns against allx and ally) raise DatasetError,
+as load_dataset does.
 
 Usage: dpgcn convert --name cora --raw-dir <download dir> --out data/cora
 [--no-row-normalize]
@@ -57,18 +59,22 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
     """
     x, y, tx, ty, allx, ally, graph = (
         _read_pickle(raw_dir, name, part) for part in _PARTS)
+    for part, matrix in zip(_PARTS[:-1], (x, y, tx, ty, allx, ally)):
+        if getattr(matrix, "ndim", None) != 2:
+            raise DatasetError("bad-row", f"ind.{name}.{part}: not a 2-D matrix")
     test_index = _read_rows(os.path.join(raw_dir, f"ind.{name}.test.index"),
                             (int,))[:, 0]
     lo = allx.shape[0]  # the test rows must follow the allx rows
     if test_index.size == 0 or test_index.min() != lo:
         raise DatasetError("index-out-of-range", f"ind.{name}.test.index: test "
                            "ids do not sit at the end of the node range")
-    for part, rows, want in (("tx", tx, test_index.size),
-                             ("ty", ty, test_index.size),
-                             ("ally", ally, allx.shape[0])):
-        if rows.shape[0] != want:
-            raise DatasetError("shape-mismatch", f"ind.{name}.{part}: "
-                               f"{rows.shape[0]} rows, expected {want}")
+    for part, arr, want in (("tx", tx, (test_index.size, allx.shape[1])),
+                            ("ty", ty, (test_index.size, ally.shape[1])),
+                            ("ally", ally, (allx.shape[0],))):
+        for got, expected, what in zip(arr.shape, want, ("rows", "columns")):
+            if got != expected:
+                raise DatasetError("shape-mismatch", f"ind.{name}.{part}: "
+                                   f"{got} {what}, expected {expected}")
     if not isinstance(graph, Mapping):
         raise DatasetError("bad-row", f"ind.{name}.graph: not a mapping "
                            "from node id to neighbour ids")
@@ -89,8 +95,12 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
     labels = np.where(onehot.sum(axis=1) > 0, onehot.argmax(axis=1),
                       -1).astype(np.int64)
 
-    edges = [(i, j) for i, nbrs in graph.items() for j in nbrs
-             if 0 <= j < num_nodes and i != j]
+    try:  # a value that is no list of ids, or a key outside the node range
+        edges = [(i, j) for i, nbrs in graph.items() for j in nbrs
+                 if 0 <= j < num_nodes and i != j]
+        adjacency = build_graph(num_nodes, edges)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError("bad-row", f"ind.{name}.graph: {exc}") from None
 
     val_nodes = np.arange(y.shape[0], y.shape[0] + val_count, dtype=np.int64)
     test_nodes = np.sort(test_index)
@@ -104,7 +114,7 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
         np.divide(features, sums, out=features, where=sums > 0)
 
     return Dataset(
-        name=name, graph=build_graph(num_nodes, edges), features=features,
+        name=name, graph=adjacency, features=features,
         labels=labels, train_nodes=train_nodes.astype(np.int64),
         val_nodes=val_nodes, test_nodes=test_nodes.astype(np.int64),
         num_classes=onehot.shape[1], feature_kind="sparse").validate()

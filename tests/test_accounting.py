@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpgcn.accounting as accounting
 from dpgcn.accounting import (DEFAULT_MOMENT_ORDERS, AccountantLedger,
                               calibrate_noise, compose, delta_from_eps,
                               eps_from_delta, gaussian_log_moment, log_moment,
@@ -89,6 +90,14 @@ def test_log_moment_validation():
         log_moment(0.5, 0.0, 8)
     with pytest.raises(ValueError):
         log_moment(0.5, 4.0, 0)
+    for lam in (0, -3):
+        with pytest.raises(ValueError, match="moment order must be at least 1"):
+            subsampled_log_moment(0.5, 2.0, lam)
+    # the expansion holds at integer orders only; below q = 1 a fractional
+    # order would be truncated while the tail bound divides by it
+    for lam in (2.5, np.array([1.0, 2.5]), math.nan):
+        with pytest.raises(ValueError):
+            log_moment(0.5, 1.0, lam)
     for sigma in (math.nan, math.inf, -math.inf):
         for q in (0.5, 1.0):
             with pytest.raises(ValueError):
@@ -97,6 +106,23 @@ def test_log_moment_validation():
             subsampled_log_moment(0.5, sigma, 4)
         with pytest.raises(ValueError):
             gaussian_log_moment(sigma, 3)
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.1, 0.5, 0.999])
+@pytest.mark.parametrize("sigma", [0.05, 1.0, 34.7, 1e6])
+def test_log_moment_array_matches_scalar_rows(q, sigma):
+    orders = np.arange(1, 65)
+    got = log_moment(q, sigma, orders)
+    assert got.shape == orders.shape
+    want = [subsampled_log_moment(q, sigma, int(lam)) for lam in orders]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_log_moment_array_at_full_sampling_is_the_closed_form():
+    for sigma in (0.05, 1.0, 34.7, 1e6):
+        got = log_moment(1.0, sigma, np.asarray(DEFAULT_MOMENT_ORDERS))
+        want = [gaussian_log_moment(sigma, lam) for lam in DEFAULT_MOMENT_ORDERS]
+        assert np.array_equal(got, want)
 
 
 def test_quadrature_matches_closed_form_at_full_sampling():
@@ -189,6 +215,11 @@ def test_ledger_validation():
         AccountantLedger(moment_orders=())
     with pytest.raises(ValueError):
         AccountantLedger(moment_orders=(3, 2))
+    # fractional orders under-reported epsilon: 10.06 at (1.5, 2.5, 3.5) for
+    # one record (0.5, 1.0, 10), where the integer grid (1, 2, 3) gives 12.73
+    with pytest.raises(ValueError):
+        AccountantLedger(moment_orders=(1.5, 2.5, 3.5))
+    assert AccountantLedger(moment_orders=(1.0, 2.0)).moment_orders == (1.0, 2.0)
 
 
 def test_ledger_coalesces_repeats():
@@ -218,6 +249,22 @@ def test_compose_additivity_exact():
     split.append(q=1.0, sigma=26.0, steps=1000)
     merged = ledger(1.0, 26.0, 2000)
     assert np.array_equal(compose(split), compose(merged))
+
+
+def test_compose_one_log_moment_call_per_record(monkeypatch):
+    calls = []
+
+    def counting(q, sigma, lam):
+        calls.append(q)
+        return log_moment(q, sigma, lam)
+
+    monkeypatch.setattr(accounting, "log_moment", counting)
+    led = AccountantLedger()
+    led.append(q=0.1, sigma=4.0, steps=10)
+    led.append(q=1.0, sigma=3.0, steps=5)
+    totals = compose(led)
+    assert calls == [0.1, 1.0]
+    assert totals.shape == (len(DEFAULT_MOMENT_ORDERS),)
 
 
 def test_compose_mixed_records_sum():
@@ -312,6 +359,11 @@ def test_calibrate_matches_published_sigma_112():
 def test_calibrate_matches_published_sigma_4():
     sigma = calibrate_noise(136.51, 1e-5, 1.0, 2000)
     assert sigma == pytest.approx(4.0, abs=0.05)
+
+
+def test_calibrate_matches_split_sbm500_sigma():
+    # the sigma of the split setting (q = 0.1, 5,000 steps) for epsilon = 1
+    assert calibrate_noise(1.0, 1e-5, 0.1, 5000) == 34.7
 
 
 def test_calibrate_grid_resolution_and_minimality():

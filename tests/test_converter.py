@@ -162,8 +162,21 @@ def _repickle(part, payload):
      "shape-mismatch: ind.cora.ty: 4 rows, expected 3"),
     (_repickle("ally", np.eye(2, dtype=int)[[0, 1, 0, 1, 0]]),
      "shape-mismatch: ind.cora.ally: 5 rows, expected 6"),
+    (_repickle("graph", {0: 5}),
+     "bad-row: ind.cora.graph: 'int' object is not iterable"),
+    (_repickle("graph", {0: [1], 10: [1]}),
+     "bad-row: ind.cora.graph: edge index out of range"),
+    (_repickle("tx", sp.csr_matrix(np.ones((3, 4)))),
+     "shape-mismatch: ind.cora.tx: 4 columns, expected 3"),
+    (_repickle("ty", np.eye(3, dtype=int)),
+     "shape-mismatch: ind.cora.ty: 3 columns, expected 2"),
+    (_repickle("ally", np.array([0, 1, 0, 1, 0, 1])),
+     "bad-row: ind.cora.ally: not a 2-D matrix"),
+    (_repickle("y", [[1, 0], [0, 1]]), "bad-row: ind.cora.y: not a 2-D matrix"),
 ], ids=["missing-dir", "junk-pickle", "bad-test-index", "graph-not-mapping",
-        "tx-rows", "ty-rows", "ally-rows"])
+        "tx-rows", "ty-rows", "ally-rows", "graph-value-not-ids",
+        "graph-key-out-of-range", "tx-columns", "ty-columns", "ally-1d",
+        "y-not-matrix"])
 def test_convert_cli_bad_raw_dir_exits_3(tmp_path, capsys, damage, message):
     raw = tmp_path / "raw"
     if damage is not None:  # None: the raw directory does not exist
