@@ -99,6 +99,9 @@ class ExperimentConfig:
                 raise ConfigError("sigma must be positive and finite")
             if cfg.target_epsilon is not None and not 0 < cfg.target_epsilon < math.inf:
                 raise ConfigError("target_epsilon must be positive and finite")
+            if cfg.early_stopping:  # picks a snapshot by validation F1
+                raise ConfigError("DP runs cannot stop early: model selection "
+                                  "on validation F1 lies outside epsilon")
         elif cfg.sigma is not None or cfg.target_epsilon is not None:
             raise ConfigError("sigma/target_epsilon only apply to DP optimizers")
         if not 0 < cfg.lr < math.inf:

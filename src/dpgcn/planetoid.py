@@ -12,12 +12,14 @@ citeseer's test ids have gaps (some ids in the test range never appear);
 the missing rows are filled with zero features and left unlabeled, so
 they stay in the graph but out of every mask.
 
-A missing file, a damaged pickle, a feature or label part that is not a
-2-D matrix, a graph that is not a mapping from node ids to lists of node
-ids, a bad test-index line, test ids that do not follow the allx rows, or
-shapes that disagree (tx and ty rows against the test ids, ally rows
-against allx, tx and ty columns against allx and ally) raise DatasetError,
-as load_dataset does.
+Unpickling resolves only the numpy, scipy and builtin globals these
+files need, so a crafted file cannot run code. A missing file, a damaged
+pickle, a pickle naming any other global, a feature or label part that
+is not a 2-D matrix, a graph that is not a mapping from node ids to
+lists of node ids, a bad test-index line, test ids that do not follow
+the allx rows, or shapes that disagree (tx and ty rows against the test
+ids, ally rows against allx, tx and ty columns against allx and ally)
+raise DatasetError, as load_dataset does.
 
 Usage: dpgcn convert --name cora --raw-dir <download dir> --out data/cora
 [--no-row-normalize]
@@ -36,17 +38,35 @@ from .data import Dataset, DatasetError, _read_rows
 from .graph import build_graph
 
 _PARTS = ("x", "y", "tx", "ty", "allx", "ally", "graph")
+# every global a Planetoid pickle names. The upstream files are Python 2
+# pickles (copy_reg, __builtin__, numpy.core, scipy.sparse.csr); re-pickled
+# ones use today's module paths, and _codecs.encode for bytes below protocol 3
+_GLOBALS = {
+    ("collections", "defaultdict"), ("numpy", "ndarray"), ("numpy", "dtype"),
+    ("_codecs", "encode"), ("copyreg", "_reconstructor"),
+    ("copy_reg", "_reconstructor"), ("scipy.sparse.csr", "csr_matrix"),
+    ("scipy.sparse._csr", "csr_matrix"),
+    *((py, name) for py in ("builtins", "__builtin__") for name in ("object", "list")),
+    *((f"numpy.{core}.multiarray", "_reconstruct") for core in ("core", "_core")),
+    *((f"numpy.{core}.numeric", "_frombuffer") for core in ("core", "_core")),
+}
 
 
-def _read_pickle(raw_dir: str, name: str, part: str):
-    path = os.path.join(raw_dir, f"ind.{name}.{part}")
-    if not os.path.isfile(path):
-        raise DatasetError("missing-file", f"missing Planetoid file: {path}")
+class _Unpickler(pickle.Unpickler):
+    """Resolves no global outside _GLOBALS, so a crafted file runs no code."""
+
+    def find_class(self, module, name):
+        if (module, name) not in _GLOBALS:
+            raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
+        return super().find_class(module, name)
+
+
+def _read_pickle(path: str):
     with open(path, "rb") as fh:
         try:
-            return pickle.load(fh, encoding="latin1")
+            return _Unpickler(fh, encoding="latin1").load()
         except Exception as exc:  # a damaged pickle can raise almost anything
-            raise DatasetError("bad-row", f"ind.{name}.{part}: "
+            raise DatasetError("bad-row", f"{os.path.basename(path)}: "
                                f"{type(exc).__name__}: {exc}") from None
 
 
@@ -57,13 +77,16 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
     val_count is the size of the fixed validation window starting right
     after the originally-labeled block; the upstream datasets use 500.
     """
-    x, y, tx, ty, allx, ally, graph = (
-        _read_pickle(raw_dir, name, part) for part in _PARTS)
+    paths = [os.path.join(raw_dir, f"ind.{name}.{part}")
+             for part in (*_PARTS, "test.index")]
+    for path in paths:  # all eight files, before unpickling any
+        if not os.path.isfile(path):
+            raise DatasetError("missing-file", f"missing Planetoid file: {path}")
+    x, y, tx, ty, allx, ally, graph = map(_read_pickle, paths[:-1])
     for part, matrix in zip(_PARTS[:-1], (x, y, tx, ty, allx, ally)):
         if getattr(matrix, "ndim", None) != 2:
             raise DatasetError("bad-row", f"ind.{name}.{part}: not a 2-D matrix")
-    test_index = _read_rows(os.path.join(raw_dir, f"ind.{name}.test.index"),
-                            (int,))[:, 0]
+    test_index = _read_rows(paths[-1], (int,))[:, 0]
     lo = allx.shape[0]  # the test rows must follow the allx rows
     if test_index.size == 0 or test_index.min() != lo:
         raise DatasetError("index-out-of-range", f"ind.{name}.test.index: test "

@@ -1,8 +1,6 @@
-"""Seeded random streams with platform-stable Gaussian draws."""
+"""Seeded random streams whose draws do not depend on numpy's SIMD dispatch."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -17,11 +15,14 @@ STREAM_SUBSAMPLE = 6
 
 
 class Prng:
-    """Counter-based random stream (Philox) with Box-Muller normals.
+    """Counter-based random stream (Philox) with numpy's ziggurat normals.
 
-    Gaussian samples are produced by the Box-Muller transform applied to
-    64-bit uniforms, so a (seed, stream) pair yields bitwise-identical
-    sequences on any platform with IEEE doubles.
+    `uniform` and `normal` are numpy's `Generator.random` and
+    `standard_normal`. They run no SIMD-dispatched math, so a (seed, stream)
+    pair gives the same bits on any numpy CPU dispatch (other libms, used in
+    the ziggurat's rare tail steps, are unchecked). Streams are pinned per
+    numpy version (NEP 19; results.json records it). Trained bits still
+    depend on the CPU, through the softmax's exp and log and the BLAS kernel.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -34,20 +35,8 @@ class Prng:
 
     def normal(self, size=None, std: float = 1.0):
         """Centered Gaussian draws with the given standard deviation."""
-        shape = () if size is None else (
-            (size,) if np.isscalar(size) else tuple(size))
-        n = math.prod(shape)
-        half = (n + 1) // 2
-        # one draw of 2*half uniforms is the stream of two draws of half
-        u = self._gen.random(2 * half)
-        radius = np.sqrt(-2.0 * np.log(1.0 - u[:half]))  # 1 - u in (0, 1]
-        angle = 2.0 * np.pi * u[half:]
-        z = np.empty(2 * half)
-        np.multiply(radius, np.cos(angle), out=z[:half])
-        np.multiply(radius, np.sin(angle), out=z[half:])
-        z = z[:n]
-        z *= std
-        return float(z[0]) if size is None else z.reshape(shape)
+        z = self._gen.standard_normal(size)
+        return float(z * std) if size is None else np.multiply(z, std, out=z)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(int(n))

@@ -149,6 +149,19 @@ def test_run_unreachable_target_epsilon_exits_2(synth_dir, tmp_path, capsys):
     assert "config error: epsilon 1e-06 unreachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["B", "C"])
+def test_run_dp_with_early_stopping_exits_2(synth_dir, tmp_path, capsys, kind):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        f"dataset = {synth_dir}\nkind = {kind}\noptimizer = sgd-dp\n"
+        f"s = {2 if kind == 'C' else 1}\nsigma = 4.0\nearly_stopping = on\n")
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "results")]) == 2
+    assert ("config error: DP runs cannot stop early"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_unknown_config_key_exits_2(synth_dir, tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(f"dataset = {synth_dir}\nturbo = on\n")

@@ -1,4 +1,5 @@
 import pickle
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from dpgcn.cli import main
 from dpgcn.data import DatasetError, load_dataset
-from dpgcn.planetoid import convert
+from dpgcn.planetoid import _PARTS, convert
 from test_data import assert_dataset_equal
 
 
@@ -112,6 +113,31 @@ def test_convert_missing_file_raises(tmp_path):
     assert "ind.cora.graph" in str(exc.value)
 
 
+def test_convert_checks_every_file_before_unpickling_any(tmp_path):
+    raw = write_fake_planetoid(tmp_path / "raw")
+    (tmp_path / "raw" / "ind.cora.x").write_bytes(b"junk")
+    (tmp_path / "raw" / "ind.cora.test.index").unlink()
+    with pytest.raises(DatasetError) as exc:
+        convert("cora", raw, val_count=2)
+    assert exc.value.code == "missing-file"
+    assert "ind.cora.test.index" in str(exc.value)
+
+
+@pytest.mark.parametrize("protocol", [0, 2, pickle.HIGHEST_PROTOCOL])
+def test_convert_reads_every_pickle_protocol(tmp_path, protocol):
+    # protocols 0 and 2 name the Python 2 modules copy_reg and __builtin__,
+    # as the upstream files do
+    want = convert("cora", write_fake_planetoid(tmp_path / "want"), val_count=2)
+    raw = write_fake_planetoid(tmp_path / "raw")
+    for part in _PARTS:
+        path = tmp_path / "raw" / f"ind.cora.{part}"
+        payload = pickle.loads(path.read_bytes())
+        if part == "graph":
+            payload = defaultdict(list, payload)
+        path.write_bytes(pickle.dumps(payload, protocol=protocol))
+    assert_dataset_equal(convert("cora", raw, val_count=2), want)
+
+
 def test_convert_test_ids_must_follow_allx(tmp_path):
     raw = write_fake_planetoid(tmp_path / "raw")
     (tmp_path / "raw" / "ind.cora.test.index").write_text("5\n6\n8\n")
@@ -151,6 +177,20 @@ def _repickle(part, payload):
     return damage
 
 
+class _WritesMarker:
+    """Unpickling this opens raw/../marker for writing, as a crafted file could."""
+
+    def __init__(self, raw):
+        self.path = str(raw.parent / "marker")
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def _crafted_pickle(raw):
+    _repickle("x", _WritesMarker(raw))(raw)
+
+
 @pytest.mark.parametrize("damage,message", [
     (None, "missing-file: missing Planetoid file: "),
     (_junk_pickle, "bad-row: ind.cora.graph: "),
@@ -173,10 +213,12 @@ def _repickle(part, payload):
     (_repickle("ally", np.array([0, 1, 0, 1, 0, 1])),
      "bad-row: ind.cora.ally: not a 2-D matrix"),
     (_repickle("y", [[1, 0], [0, 1]]), "bad-row: ind.cora.y: not a 2-D matrix"),
+    (_crafted_pickle,
+     "bad-row: ind.cora.x: UnpicklingError: global io.open is not allowed"),
 ], ids=["missing-dir", "junk-pickle", "bad-test-index", "graph-not-mapping",
         "tx-rows", "ty-rows", "ally-rows", "graph-value-not-ids",
         "graph-key-out-of-range", "tx-columns", "ty-columns", "ally-1d",
-        "y-not-matrix"])
+        "y-not-matrix", "crafted-pickle"])
 def test_convert_cli_bad_raw_dir_exits_3(tmp_path, capsys, damage, message):
     raw = tmp_path / "raw"
     if damage is not None:  # None: the raw directory does not exist
@@ -186,3 +228,4 @@ def test_convert_cli_bad_raw_dir_exits_3(tmp_path, capsys, damage, message):
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(f"dataset error: {message}")
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "marker").exists()  # the crafted pickle ran no code

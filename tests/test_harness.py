@@ -93,9 +93,10 @@ def test_finalized_early_stopping_defaults():
     assert ExperimentConfig(optimizer="adam").finalized().early_stopping is True
     dp = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0).finalized()
     assert dp.early_stopping is False
-    forced = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0,
-                              early_stopping=True).finalized()
-    assert forced.early_stopping is True
+    # validation-F1 model selection lies outside epsilon: DP fails closed
+    with pytest.raises(ConfigError, match="DP runs cannot stop early"):
+        ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0,
+                         early_stopping=True).finalized()
 
 
 def test_finalized_lot_size_defaults_to_s():

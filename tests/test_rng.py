@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from dpgcn.rng import Prng
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def test_same_seed_same_stream_bitwise():
@@ -37,8 +43,9 @@ def test_normal_shapes():
     assert isinstance(r.normal(), float)
     assert r.normal(5).shape == (5,)
     assert r.normal((3, 4)).shape == (3, 4)
-    # odd sizes exercise the Box-Muller pair cropping
     assert r.normal(7).shape == (7,)
+    with pytest.raises(ValueError):  # as uniform(-1) does
+        r.normal(-1)
 
 
 def test_permutation_is_a_permutation():
@@ -55,33 +62,49 @@ def test_sample_without_replacement():
     assert r.sample_without_replacement(5, 0).size == 0
 
 
-def two_call_box_muller(gen, size, std):
-    """Box-Muller with u1 and u2 drawn by two calls, as the reference."""
-    shape = () if size is None else (
-        (size,) if np.isscalar(size) else tuple(size))
-    n = int(np.prod(shape)) if shape else 1
-    half = (n + 1) // 2
-    u1 = 1.0 - gen.random(half)
-    u2 = gen.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
-                        radius * np.sin(2.0 * np.pi * u2)])[:n]
-    z *= std
-    return float(z[0]) if size is None else z.reshape(shape)
-
-
 @pytest.mark.parametrize("size", [None, 0, 1, 7, 592, (3, 4)],
                          ids=["None", "0", "1", "7", "592", "3x4"])
-def test_normal_bitwise_equals_two_call_box_muller(size):
+def test_normal_bitwise_equals_generator_standard_normal(size):
     seed, stream = 29, 3
     prng = Prng(seed, stream)
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
     # three draws in a row: each must leave the stream where the reference does
     for std in (1.0, 2.5, 0.1):
-        got, want = prng.normal(size, std=std), two_call_box_muller(gen, size, std)
+        got, want = prng.normal(size, std=std), std * gen.standard_normal(size)
         if size is None:
             assert isinstance(got, float) and got == want
         else:
             assert got.shape == want.shape and np.array_equal(got, want)
     assert prng.uniform() == gen.random()
+
+
+DRAW_DIGESTS = """
+import hashlib
+from dpgcn.data import SynthSpec, generate_synthetic
+from dpgcn.rng import Prng
+sbm500 = SynthSpec((100,) * 5, 0.10, 0.01, feature_dim=16, feature_shift=1.0,
+                   seed=7)
+for draws in (Prng(1, 3).normal(200000, std=2.0),
+              generate_synthetic(sbm500).features):
+    print(hashlib.sha256(draws.tobytes()).hexdigest())
+"""
+
+
+def test_draws_do_not_depend_on_numpy_simd_dispatch():
+    # numpy picks a SIMD kernel per CPU at import time; a child with every
+    # dispatched target this host enables turned off must draw the same bits
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("this host enables no dispatched numpy target")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    children = [subprocess.Popen([sys.executable, "-c", DRAW_DIGESTS], env=e,
+                                 stdout=subprocess.PIPE, text=True)
+                for e in (env, dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(targets)))]
+    default, reduced = (child.communicate(timeout=60)[0].split()
+                        for child in children)
+    assert all(child.returncode == 0 for child in children)
+    assert len(default) == 2 and default == reduced, targets
