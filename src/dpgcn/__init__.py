@@ -22,8 +22,9 @@ from .harness import (ConfigError, ExperimentConfig, ResultsRecord,
                       SeedOutcome, TrainingDiverged, early_stop_check,
                       emit_results, hard_case_overlap, load_config,
                       parse_config_text, resolve_sigma, run_experiment)
-from .model import (ForwardTrace, GcnParams, Metrics, backward, evaluate,
-                    forward, init_params, macro_f1, masked_cross_entropy)
+from .model import (ForwardTrace, GcnParams, Metrics, Target, backward,
+                    evaluate, forward, init_params, macro_f1,
+                    masked_cross_entropy, masked_log_probs)
 from .rng import Prng
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,7 @@
 """Experiment driver: every kind trains on a list of examples.
 
-An example is a graph, its aggregated features A X (computed once per
-seed) and labels, and a mask of the nodes whose loss counts. Kinds A
+An example is a graph, its aggregated features A X and the target: the
+nodes whose loss counts and their labels, both built once per seed. Kinds A
 (non-private) and B (DP, q = 1) have one: the full graph with the training
 nodes as mask. Kind C has s, the disjoint induced subgraphs of a random
 split of the training nodes. Non-DP training sweeps the examples in random
@@ -11,11 +11,14 @@ noised step per lot.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache, cached_property
 
 import numpy as np
 import scipy
@@ -29,7 +32,7 @@ from .data import Dataset, load_dataset
 from .dp import (AdamState, DpNoiseSpec, adam_step, noisy_lot_gradient,
                  sample_lot, sgd_step)
 from .graph import mask_subgraph, normalize_adjacency, random_partition, spmm
-from .model import (GcnParams, Metrics, backward, evaluate, forward,
+from .model import (GcnParams, Metrics, Target, backward, evaluate, forward,
                     init_params, macro_f1, masked_cross_entropy,
                     masked_log_probs)
 from .rng import Prng
@@ -227,17 +230,16 @@ class ResultsRecord:
 
 @dataclass(frozen=True)
 class Example:
-    """A graph, its labels, the mask of nodes whose loss counts, and
-    ax = adj @ features, which stays fixed for the whole run."""
+    """A graph, ax = adj @ features and the target, the nodes whose loss
+    counts; all three stay fixed for the whole run."""
 
     adj: sp.csr_matrix
-    labels: np.ndarray
-    mask: np.ndarray
     ax: np.ndarray
+    target: Target
 
     @classmethod
-    def of(cls, adj, features, labels, mask) -> "Example":
-        return cls(adj, labels, mask, spmm(adj, features))
+    def of(cls, adj, features, labels, mask, num_classes) -> "Example":
+        return cls(adj, spmm(adj, features), Target.of(labels, mask, num_classes))
 
 
 def _training_count(cfg: ExperimentConfig, available: int) -> int:
@@ -271,8 +273,11 @@ class _Trainer:
         self.ledger = AccountantLedger()
         # the full graph: validation and test, and kinds A and B's one example
         self.full = Example.of(normalize_adjacency(dataset.graph),
-                               dataset.features, dataset.labels, self.train_nodes)
+                               dataset.features, dataset.labels, self.train_nodes,
+                               dataset.num_classes)
         self.examples = self._subgraph_examples() if cfg.kind == "C" else [self.full]
+        self.test = Target.of(dataset.labels, dataset.test_nodes,
+                              dataset.num_classes)
 
     def _training_nodes(self) -> np.ndarray:
         nodes = self.ds.train_nodes
@@ -295,18 +300,18 @@ class _Trainer:
                 raise AssertionError("cross-subgraph edge survived masking")
             examples.append(Example.of(normalize_adjacency(graph),
                                        self.ds.features[keep], self.ds.labels[keep],
-                                       np.arange(keep.size)))
+                                       np.arange(keep.size), self.ds.num_classes))
         return examples
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
         ex = self.examples[k]
         trace = forward(self.params, ex.adj, ax=ex.ax, dropout=self.cfg.dropout,
                         training=True, rng=self.rng_drop)
-        log_probs = masked_log_probs(trace.logits, ex.labels, ex.mask)
-        loss = masked_cross_entropy(ex.labels, ex.mask, log_probs=log_probs)
+        log_probs = masked_log_probs(trace.logits, ex.target)
+        loss = masked_cross_entropy(ex.target, log_probs=log_probs)
         _require_finite(loss, "loss", epoch)
         self.last_loss = loss
-        grad = backward(trace, ex.labels, ex.mask, log_probs=log_probs)
+        grad = backward(trace, ex.target, log_probs=log_probs)
         # a NaN or inf entry, or a squared norm past the float range, which
         # clip_gradient would reject
         _require_finite(float(grad.dot(grad)), "gradient", epoch)
@@ -332,13 +337,18 @@ class _Trainer:
             self.ledger.append(cfg.lot_size / cfg.s, self.noise.noise_multiplier)
             self._step(grad)
 
-    def metrics(self, params: GcnParams, nodes) -> Metrics:
-        """params scored on the given nodes of the full graph."""
-        f = self.full
-        return evaluate(params, f.adj, f.labels, nodes, ax=f.ax)
+    def metrics(self, params: GcnParams, target: Target) -> Metrics:
+        """params scored on the target's nodes of the full graph."""
+        return evaluate(params, self.full.adj, target, ax=self.full.ax)
+
+    @cached_property
+    def val(self) -> Target:
+        """The validation nodes, built on first use: early stopping needs
+        them, and without it an empty validation set is legal."""
+        return Target.of(self.ds.labels, self.ds.val_nodes, self.ds.num_classes)
 
     def val_score(self) -> float:
-        return self.metrics(self.params, self.ds.val_nodes).micro_f1
+        return self.metrics(self.params, self.val).micro_f1
 
 
 def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
@@ -357,7 +367,7 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
             if stop:
                 break
     eval_params = trainer.params if best_params is None else best_params
-    metrics = trainer.metrics(eval_params, dataset.test_nodes)
+    metrics = trainer.metrics(eval_params, trainer.test)
     outcome = SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
                           f1_macro=macro_f1(metrics.confusion),
                           epochs=epoch,
@@ -383,6 +393,43 @@ def resolve_sigma(cfg: ExperimentConfig) -> float | None:
                                cfg.max_epochs * cfg.steps_per_epoch)
     except ValueError as exc:  # a target no noise multiplier up to 1e6 reaches
         raise ConfigError(str(exc)) from exc
+
+
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS, already loaded by numpy (None if absent)."""
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                   "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(found[0])
+        for name, restype in (("corename", ctypes.c_char_p),
+                              ("config", ctypes.c_char_p),
+                              ("num_threads", ctypes.c_int)):
+            fn = getattr(lib, f"scipy_openblas_get_{name}64_")
+            fn.argtypes, fn.restype = [], restype
+    except (IndexError, OSError, AttributeError):
+        return None
+    return lib
+
+
+def host_fingerprint() -> dict:
+    """What trained bits depend on besides the versions: the dispatched
+    numpy SIMD targets the host enables, and the BLAS kernel, thread count
+    and build; each None where it cannot be read."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    except (ImportError, AttributeError):
+        simd = None
+    lib = _openblas()
+
+    def blas(name):
+        return None if lib is None else getattr(lib, f"scipy_openblas_get_{name}64_")()
+
+    core, config = blas("corename"), blas("config")
+    return {"numpy_simd": simd, "blas_core": core and core.decode(),
+            "blas_threads": blas("num_threads"),
+            "blas_config": config and config.decode()}
 
 
 def run_experiment(config: ExperimentConfig,
@@ -441,6 +488,9 @@ def run_experiment(config: ExperimentConfig,
                          for o in good) if cfg.is_dp else None,
         "versions": {"dpgcn": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        # trained bits also depend on these, so compare runs only where
+        # they agree
+        "fingerprint": host_fingerprint(),
     }
     return ResultsRecord(cfg.to_dict(), outcomes, aggregate, metadata)
 

@@ -3,9 +3,10 @@
 Forward: Z0 = A X W0, H1 = dropout(relu(Z0)), logits = A H1 W1, where A is
 the normalized adjacency. No biases; softmax lives inside the loss. A and X
 stay fixed during training, so forward and evaluate take the product A X,
-computed once by the caller, as the required ``ax``. The loss and its
-gradient share one masked_log_probs result, passed to both as the required
-``log_probs``.
+computed once by the caller, as the required ``ax``. The nodes whose loss
+counts and their labels are a Target, checked once when it is built. The
+loss and its gradient share one masked_log_probs result, passed to both as
+the required ``log_probs``.
 """
 
 from __future__ import annotations
@@ -109,47 +110,75 @@ def _masked_labels(labels: np.ndarray, mask,
     return mask, y
 
 
-def masked_log_probs(logits: np.ndarray, labels: np.ndarray,
-                     mask) -> np.ndarray:
-    """Log-softmax of the masked rows of logits, one row per mask entry."""
-    mask, _ = _masked_labels(labels, mask, logits.shape[1])
-    return _log_softmax(logits[mask])
+@dataclass(frozen=True)
+class Target:
+    """The nodes whose loss counts, checked once: their int64 ids, their
+    labels and the number of classes. ``cells`` indexes each id's label in
+    the flattened (len(ids), num_classes) log-probabilities, row by row.
+    ``all_rows`` says the ids are every row of ``labels`` in order, so the
+    masked rows are the whole logits matrix and need no gather."""
+
+    ids: np.ndarray
+    labels: np.ndarray
+    cells: np.ndarray
+    num_classes: int
+    all_rows: bool
+
+    @classmethod
+    def of(cls, labels: np.ndarray, mask, num_classes: int) -> "Target":
+        ids, y = _masked_labels(labels, mask, num_classes)
+        rows = np.arange(ids.size)
+        return cls(ids, y, rows * num_classes + y, num_classes,
+                   ids.size == len(labels) and bool((ids == rows).all()))
 
 
-def _check_log_probs(log_probs: np.ndarray, mask: np.ndarray) -> None:
-    """log_probs must be 2-D with one row per entry of a non-empty mask."""
-    if mask.size == 0 or log_probs.ndim != 2 or log_probs.shape[0] != mask.size:
-        raise ValueError("log_probs do not match the mask")
+def _target_rows(logits: np.ndarray, target: Target) -> np.ndarray:
+    """The target's rows of logits, one per id; logits must have a column
+    per class and, for all_rows, a row per id."""
+    if logits.shape[1] != target.num_classes or (
+            target.all_rows and logits.shape[0] != target.ids.size):
+        raise ValueError("logits do not match the target")
+    return logits if target.all_rows else logits[target.ids]
 
 
-def masked_cross_entropy(labels: np.ndarray, mask, *,
-                         log_probs: np.ndarray) -> float:
-    """Mean negative log-likelihood over the masked nodes.
+def masked_log_probs(logits: np.ndarray, target: Target) -> np.ndarray:
+    """Log-softmax of the target's rows of logits, one row per id."""
+    return _log_softmax(_target_rows(logits, target))
 
-    ``log_probs`` is masked_log_probs(logits, labels, mask).
+
+def _check_log_probs(log_probs: np.ndarray, target: Target) -> None:
+    """log_probs must be 2-D with one row per id and a column per class."""
+    if log_probs.shape != (target.ids.size, target.num_classes):
+        raise ValueError("log_probs do not match the target")
+
+
+def masked_cross_entropy(target: Target, *, log_probs: np.ndarray) -> float:
+    """Mean negative log-likelihood over the target's nodes.
+
+    ``log_probs`` is masked_log_probs(logits, target).
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    _check_log_probs(log_probs, mask)
-    y = np.asarray(labels)[mask]
-    return float(-(log_probs[np.arange(mask.size), y].sum() / mask.size))
+    _check_log_probs(log_probs, target)
+    return float(-(log_probs.take(target.cells).sum() / target.ids.size))
 
 
-def backward(trace: ForwardTrace, labels: np.ndarray, mask, *,
+def backward(trace: ForwardTrace, target: Target, *,
              log_probs: np.ndarray) -> np.ndarray:
-    """Flat gradient (w0 then w1) of the masked loss at the traced point.
+    """Flat gradient (w0 then w1) of the target's loss at the traced point.
 
-    ``log_probs`` is masked_log_probs(trace.logits, labels, mask).
+    ``log_probs`` is masked_log_probs(trace.logits, target).
     """
     params = trace.params
-    mask = np.asarray(mask, dtype=np.int64)
-    _check_log_probs(log_probs, mask)
-    n, k = trace.logits.shape[0], log_probs.shape[1]
-    p = np.exp(log_probs)
-    p[np.arange(mask.size), np.asarray(labels)[mask]] -= 1.0
-    p /= mask.size
-    # scatter-add, so a node repeated in the mask counts once per entry
-    flat = (mask[:, None] * k + np.arange(k)).ravel()
-    g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
+    _check_log_probs(log_probs, target)
+    p = np.exp(log_probs, order="C")
+    p.ravel()[target.cells] -= 1.0  # a view, as p is C-contiguous
+    p /= target.ids.size
+    if target.all_rows:
+        g1 = p  # the loss's rows are the graph's rows, in order
+    else:
+        # scatter-add, so a node repeated in the mask counts once per entry
+        n, k = trace.logits.shape
+        flat = (target.ids[:, None] * k + np.arange(k)).ravel()
+        g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
     ag1 = spmm(trace.adj, g1)  # A is symmetric, so this is A^T g1
     grad = np.empty(params.size)
     split = params.w0.size
@@ -159,17 +188,18 @@ def backward(trace: ForwardTrace, labels: np.ndarray, mask, *,
     return grad
 
 
-def evaluate(params: GcnParams, adj: sp.csr_matrix, labels: np.ndarray,
-             mask, *, ax: np.ndarray) -> Metrics:
-    """Micro-F1, confusion matrix, and error set on the masked nodes."""
-    k = params.w1.shape[1]
-    mask, true = _masked_labels(labels, mask, k)
+def evaluate(params: GcnParams, adj: sp.csr_matrix, target: Target, *,
+             ax: np.ndarray) -> Metrics:
+    """Micro-F1, confusion matrix, and error set on the target's nodes."""
+    k = target.num_classes
+    if params.w1.shape[1] != k:
+        raise ValueError("params do not match the target's classes")
     trace = forward(params, adj, ax=ax)
-    pred = trace.logits[mask].argmax(axis=1)  # ties resolve to lowest index
+    pred = _target_rows(trace.logits, target).argmax(axis=1)  # ties: lowest index
     confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (true, pred), 1)
-    hits = pred == true
-    return Metrics(float(hits.mean()), confusion, mask[~hits])
+    np.add.at(confusion, (target.labels, pred), 1)
+    hits = pred == target.labels
+    return Metrics(float(hits.mean()), confusion, target.ids[~hits])
 
 
 def macro_f1(confusion: np.ndarray) -> float:

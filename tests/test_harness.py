@@ -1,6 +1,10 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import scipy
 import scipy.sparse as sp
 
 import dpgcn
+import dpgcn.dp as dp_mod
 import dpgcn.harness as harness_mod
 import dpgcn.model as model_mod
 from dpgcn import rng as streams
@@ -531,7 +536,7 @@ def test_kind_c_examples_hold_their_groups_rows(sbm):
     assert len(trainer.examples) == len(groups)
     for ex, keep in zip(trainer.examples, groups):
         assert np.array_equal(ex.ax, spmm(ex.adj, sbm.features[keep]))
-        assert np.array_equal(ex.labels, sbm.labels[keep])
+        assert np.array_equal(ex.target.labels, sbm.labels[keep])
 
 
 @pytest.mark.parametrize("kind, optimizer, unit", [
@@ -586,6 +591,21 @@ def test_dp_step_computes_one_log_softmax_per_example(sbm, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("kw", [
+    dict(kind="A", optimizer="adam", early_stopping=False),
+    dict(kind="B", optimizer="adam-dp", sigma=2.0),
+], ids=["A", "B"])
+def test_run_without_early_stopping_needs_no_validation_nodes(sbm, kw):
+    # the trainer builds the validation target on first use, and only
+    # early stopping uses it
+    no_val = replace(sbm, val_nodes=np.array([], dtype=np.int64))
+    record = run_experiment(ExperimentConfig(max_epochs=2, seeds=(0,), **kw),
+                            dataset=no_val)
+    assert record.aggregate["seeds_failed"] == 0
+    with pytest.raises(ConfigError, match="no validation nodes"):
+        run_experiment(cfg_a(max_epochs=2, seeds=(0,)), dataset=no_val)
+
+
 def test_trainer_non_dp_keeps_empty_ledger(sbm):
     cfg = cfg_a(seeds=(0,)).finalized()
     trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)
@@ -608,3 +628,79 @@ def test_bench_bound_names_resolve():
         if not callable(owner):
             missing.append(f"{module}:{attr_path}")
     assert spans.TARGETS and not missing, missing
+
+
+def test_dp_step_shape_per_example_and_per_lot(sbm, monkeypatch):
+    # one kind-C DP epoch: forward, loss, backward and clipping once per
+    # example, the lot draw, noise and optimizer step once per lot, and no
+    # example's target checked again; the benchmark's per-layer metrics
+    # read these names
+    cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=2,
+                           sigma=2.0, max_epochs=1, seeds=(0,)).finalized()
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=2.0)
+    calls = Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("forward", "masked_cross_entropy", "backward",
+                 "noisy_lot_gradient", "adam_step", "sample_lot"):
+        counting(harness_mod, name)
+    counting(dp_mod, "clip_gradient")
+    counting(model_mod, "_masked_labels")
+    real_of = model_mod.Target.of.__func__
+    monkeypatch.setattr(model_mod.Target, "of", classmethod(
+        lambda cls, *args: calls.update(["Target.of"]) or real_of(cls, *args)))
+    trainer.run_epoch(1)
+    lots = cfg.steps_per_epoch
+    assert lots == 2
+    examples = lots * cfg.lot_size
+    assert calls["Target.of"] == calls["_masked_labels"] == 0
+    assert calls == Counter(
+        forward=examples, masked_cross_entropy=examples, backward=examples,
+        clip_gradient=examples, noisy_lot_gradient=lots, adam_step=lots,
+        sample_lot=lots)
+
+
+FINGERPRINT = """
+import json
+from dpgcn.harness import host_fingerprint
+print(json.dumps(host_fingerprint()))
+"""
+
+
+def fingerprint_in_child(**settings) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", FINGERPRINT], env=env | settings,
+                         capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(out.stdout)
+
+
+def test_fingerprint_records_the_blas_kernel_and_threads():
+    # the BLAS kernel and thread count change trained bits, so results.json
+    # must record what a process's environment chose
+    if fingerprint_in_child()["blas_core"] is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    assert fingerprint_in_child(OPENBLAS_NUM_THREADS="1")["blas_threads"] == 1
+    assert fingerprint_in_child(OPENBLAS_CORETYPE="Haswell")["blas_core"] == "Haswell"
+
+
+def test_run_metadata_records_the_fingerprint(sbm):
+    meta = run_experiment(cfg_a(max_epochs=1, seeds=(0,)), dataset=sbm).metadata
+    fingerprint = meta["fingerprint"]
+    assert fingerprint == harness_mod.host_fingerprint()
+    assert set(fingerprint) == {"numpy_simd", "blas_core", "blas_threads",
+                                "blas_config"}
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    assert fingerprint["numpy_simd"] == [
+        t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    assert json.loads(json.dumps(meta)) == meta

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dpgcn.graph import build_graph, normalize_adjacency, spmm
-from dpgcn.model import (GcnParams, backward, evaluate, forward, init_params,
-                         macro_f1, masked_cross_entropy, masked_log_probs)
+from dpgcn.model import (GcnParams, Target, backward, evaluate, forward,
+                         init_params, macro_f1, masked_cross_entropy,
+                         masked_log_probs)
 from dpgcn.rng import Prng, STREAM_DROPOUT
 
 
@@ -23,13 +24,20 @@ def run_forward(params, adj, feats, **kw):
 
 
 def loss_of(logits, labels, mask):
-    log_probs = masked_log_probs(logits, labels, mask)
-    return masked_cross_entropy(labels, mask, log_probs=log_probs)
+    target = Target.of(labels, mask, logits.shape[1])
+    log_probs = masked_log_probs(logits, target)
+    return masked_cross_entropy(target, log_probs=log_probs)
 
 
 def gradient_of(trace, labels, mask):
-    log_probs = masked_log_probs(trace.logits, labels, mask)
-    return backward(trace, labels, mask, log_probs=log_probs)
+    target = Target.of(labels, mask, trace.logits.shape[1])
+    log_probs = masked_log_probs(trace.logits, target)
+    return backward(trace, target, log_probs=log_probs)
+
+
+def evaluate_on(params, adj, labels, mask, *, ax):
+    return evaluate(params, adj, Target.of(labels, mask, params.w1.shape[1]),
+                    ax=ax)
 
 
 def analytic_gradient(params, adj, feats, labels, mask):
@@ -339,13 +347,14 @@ def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
     assert np.array_equal(trace.hidden, hidden)
     assert np.array_equal(trace.logits, logits)
 
-    log_probs = masked_log_probs(trace.logits, labels, mask)
+    target = Target.of(labels, mask, k)
+    log_probs = masked_log_probs(trace.logits, target)
     assert np.array_equal(log_probs, reference_log_softmax(trace.logits[mask]))
     want_loss = reference_cross_entropy(trace.logits, labels, mask)
-    assert masked_cross_entropy(labels, mask, log_probs=log_probs) == want_loss
+    assert masked_cross_entropy(target, log_probs=log_probs) == want_loss
 
     want_grad = reference_backward(params, trace, adj, feats, labels, mask)
-    grad = backward(trace, labels, mask, log_probs=log_probs)
+    grad = backward(trace, target, log_probs=log_probs)
     assert grad.dtype == np.float64
     assert np.array_equal(grad, want_grad)
     # backward reads log_probs and leaves it as it was
@@ -355,10 +364,11 @@ def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
 def test_masked_log_probs_errors():
     logits = np.zeros((2, 2))
     with pytest.raises(ValueError, match="empty mask"):
-        masked_log_probs(logits, np.array([0, 1]), np.array([], dtype=int))
+        masked_log_probs(logits, Target.of(np.array([0, 1]),
+                                           np.array([], dtype=int), 2))
     for labels in (np.array([0, 2]), np.array([0, -1])):
         with pytest.raises(ValueError, match="label out of range"):
-            masked_log_probs(logits, labels, np.array([1]))
+            masked_log_probs(logits, Target.of(labels, np.array([1]), 2))
 
 
 def test_backward_errors():
@@ -374,15 +384,87 @@ def test_log_probs_must_match_mask():
     adj, feats, labels, params = tiny_setup(4, 2, 4, 3, 61)
     trace = run_forward(params, adj, feats)
     mask = np.array([0, 3])
-    log_probs = masked_log_probs(trace.logits, labels, mask)
-    empty = np.array([], dtype=int)
-    for bad_mask, bad in ((np.array([0, 1, 3]), log_probs),
-                          (mask, log_probs.ravel()),
-                          (empty, log_probs[:0])):
+    target = Target.of(labels, mask, 3)
+    log_probs = masked_log_probs(trace.logits, target)
+    # an empty mask cannot make a Target, so the empty case is empty
+    # log_probs against a target
+    for bad_target, bad in ((Target.of(labels, np.array([0, 1, 3]), 3), log_probs),
+                            (target, log_probs.ravel()),
+                            (target, log_probs[:0])):
         with pytest.raises(ValueError, match="log_probs do not match"):
-            masked_cross_entropy(labels, bad_mask, log_probs=bad)
+            masked_cross_entropy(bad_target, log_probs=bad)
         with pytest.raises(ValueError, match="log_probs do not match"):
-            backward(trace, labels, bad_mask, log_probs=bad)
+            backward(trace, bad_target, log_probs=bad)
+
+
+# ---- Target: the loss's nodes, checked once ----
+
+def test_target_of_checks_mask_and_labels():
+    labels = np.array([0, 2, 1])
+    with pytest.raises(ValueError, match="empty mask"):
+        Target.of(labels, np.array([], dtype=int), 3)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="label out of range"):
+            Target.of(np.array([0, bad, 1]), np.array([0, 1]), 3)
+    target = Target.of(labels, [2, 0], 3)
+    assert target.ids.dtype == np.int64
+    assert np.array_equal(target.ids, [2, 0])
+    assert np.array_equal(target.labels, [1, 0])
+    assert np.array_equal(target.cells, [0 * 3 + 1, 1 * 3 + 0])
+    assert target.num_classes == 3
+
+
+@pytest.mark.parametrize("mask, all_rows", [
+    (np.arange(3), True),
+    (np.array([1, 0, 2]), False),
+    (np.arange(2), False),
+    (np.array([0, 1, 2, 2]), False),
+])
+def test_target_all_rows_only_for_every_row_in_order(mask, all_rows):
+    assert Target.of(np.array([0, 1, 0]), mask, 2).all_rows is all_rows
+
+
+def test_target_classes_must_match_the_logits():
+    adj, feats, labels, params = tiny_setup(5, 3, 4, 3, 73)
+    trace = run_forward(params, adj, feats)
+    for mask in (np.arange(5), np.array([0, 3])):
+        wrong = Target.of(labels, mask, 4)
+        with pytest.raises(ValueError, match="do not match the target"):
+            masked_log_probs(trace.logits, wrong)
+        with pytest.raises(ValueError, match="do not match the target"):
+            evaluate(params, adj, wrong, ax=spmm(adj, feats))
+    # all_rows skips the gather, so the logits must have a row per id
+    with pytest.raises(ValueError, match="do not match the target"):
+        masked_log_probs(trace.logits[:4], Target.of(labels, np.arange(5), 3))
+
+
+def test_all_rows_gradient_bitwise_equals_scatter():
+    # kind C's targets cover every row in order, so the gradient skips the
+    # gather and the scatter; a permuted full mask takes both and must
+    # give the same bits
+    adj, feats, labels, params = tiny_setup(9, 5, 6, 3, 79, extra_edges=18)
+    trace = run_forward(params, adj, feats, dropout=0.5, training=True,
+                        rng=Prng(79, stream=STREAM_DROPOUT))
+    perm = np.random.default_rng(79).permutation(9)
+    assert not np.array_equal(perm, np.arange(9))
+    identity, permuted = Target.of(labels, np.arange(9), 3), Target.of(labels, perm, 3)
+    assert identity.all_rows and not permuted.all_rows
+    grads = [backward(trace, t, log_probs=masked_log_probs(trace.logits, t))
+             for t in (identity, permuted)]
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_loss_and_backward_read_log_probs_in_any_layout():
+    adj, feats, labels, params = tiny_setup(6, 3, 4, 3, 83)
+    trace = run_forward(params, adj, feats)
+    target = Target.of(labels, np.array([5, 1, 2]), 3)
+    log_probs = masked_log_probs(trace.logits, target)
+    fortran = np.asfortranarray(log_probs)
+    assert not fortran.flags.c_contiguous
+    assert (masked_cross_entropy(target, log_probs=fortran)
+            == masked_cross_entropy(target, log_probs=log_probs))
+    assert np.array_equal(backward(trace, target, log_probs=fortran),
+                          backward(trace, target, log_probs=log_probs))
 
 
 def test_old_call_forms_raise_type_error():
@@ -392,8 +474,13 @@ def test_old_call_forms_raise_type_error():
     adj, feats, labels, params = tiny_setup(4, 2, 4, 3, 67)
     mask = np.array([0, 3])
     trace = run_forward(params, adj, feats)
-    log_probs = masked_log_probs(trace.logits, labels, mask)
+    log_probs = masked_log_probs(trace.logits, Target.of(labels, mask, 3))
     old_calls = [
+        # the (labels, mask) forms, before the checked Target
+        lambda: masked_log_probs(trace.logits, labels, mask),
+        lambda: masked_cross_entropy(labels, mask, log_probs=log_probs),
+        lambda: backward(trace, labels, mask, log_probs=log_probs),
+        lambda: evaluate(params, adj, labels, mask, ax=spmm(adj, feats)),
         lambda: forward(params, adj, feats),
         lambda: evaluate(params, adj, feats, labels, mask),
         lambda: masked_cross_entropy(trace.logits, labels, mask),
@@ -415,7 +502,7 @@ def test_evaluate_all_correct():
     adj = normalize_adjacency(build_graph(3, []))
     params = GcnParams(w0=np.eye(3), w1=np.eye(3) * 5.0)
     feats = np.eye(3)
-    m = evaluate(params, adj, np.array([0, 1, 2]), np.array([0, 1, 2]),
+    m = evaluate_on(params, adj, np.array([0, 1, 2]), np.array([0, 1, 2]),
                  ax=spmm(adj, feats))
     assert m.micro_f1 == 1.0
     assert np.array_equal(m.confusion, np.eye(3, dtype=np.int64))
@@ -426,7 +513,7 @@ def test_evaluate_all_wrong():
     adj = normalize_adjacency(build_graph(2, []))
     params = GcnParams(w0=np.eye(2), w1=np.eye(2))
     feats = np.array([[0.0, 1.0], [1.0, 0.0]])  # predicts the other class
-    m = evaluate(params, adj, np.array([0, 1]), np.array([0, 1]),
+    m = evaluate_on(params, adj, np.array([0, 1]), np.array([0, 1]),
                  ax=spmm(adj, feats))
     assert m.micro_f1 == 0.0
     assert np.array_equal(np.sort(m.errors), [0, 1])
@@ -438,7 +525,7 @@ def test_evaluate_majority_predictor_fraction():
     params = GcnParams(w0=np.zeros((2, 3)), w1=np.zeros((3, 4)))
     feats = np.random.default_rng(0).normal(size=(5, 2))
     labels = np.array([0, 0, 0, 1, 2])
-    m = evaluate(params, adj, labels, np.arange(5), ax=spmm(adj, feats))
+    m = evaluate_on(params, adj, labels, np.arange(5), ax=spmm(adj, feats))
     assert m.micro_f1 == pytest.approx(0.6)
     assert m.confusion[:, 0].sum() == 5  # everything predicted class 0
 
@@ -446,7 +533,7 @@ def test_evaluate_majority_predictor_fraction():
 def test_evaluate_confusion_row_sums():
     adj, feats, labels, params = tiny_setup(8, 3, 4, 3, 17)
     mask = np.array([0, 1, 3, 6, 7])
-    m = evaluate(params, adj, labels, mask, ax=spmm(adj, feats))
+    m = evaluate_on(params, adj, labels, mask, ax=spmm(adj, feats))
     counts = np.bincount(labels[mask], minlength=3)
     assert np.array_equal(m.confusion.sum(axis=1), counts)
     assert m.confusion.sum() == mask.size
@@ -455,24 +542,24 @@ def test_evaluate_confusion_row_sums():
 def test_evaluate_micro_f1_is_trace_fraction():
     adj, feats, labels, params = tiny_setup(10, 4, 5, 4, 23)
     mask = np.arange(10)
-    m = evaluate(params, adj, labels, mask, ax=spmm(adj, feats))
+    m = evaluate_on(params, adj, labels, mask, ax=spmm(adj, feats))
     assert m.micro_f1 == pytest.approx(np.trace(m.confusion) / mask.size, abs=0)
 
 
 def test_evaluate_rejects_out_of_range_masked_labels():
     # a -1 (unlabeled) or too-large label on a masked node is the error
-    # masked_log_probs raises, not a count in a wrapped confusion row
+    # Target.of raises, not a count in a wrapped confusion row
     adj, feats, labels, params = tiny_setup(3, 2, 4, 2, 71)
     ax = spmm(adj, feats)
     for bad in (-1, 2):
         labels[0] = bad
         with pytest.raises(ValueError, match="label out of range"):
-            evaluate(params, adj, labels, np.array([0, 1, 2]), ax=ax)
+            evaluate_on(params, adj, labels, np.array([0, 1, 2]), ax=ax)
         # unmasked, the same label is never read
-        m = evaluate(params, adj, labels, np.array([1, 2]), ax=ax)
+        m = evaluate_on(params, adj, labels, np.array([1, 2]), ax=ax)
         assert m.confusion.sum() == 2
     with pytest.raises(ValueError, match="empty mask"):
-        evaluate(params, adj, labels, np.array([], dtype=int), ax=ax)
+        evaluate_on(params, adj, labels, np.array([], dtype=int), ax=ax)
 
 
 def test_macro_f1_hand_case():
@@ -489,6 +576,6 @@ def test_macro_f1_absent_class_scores_zero():
 def test_evaluate_argmax_tie_lowest_index():
     adj = normalize_adjacency(build_graph(1, []))
     params = GcnParams(w0=np.zeros((1, 1)), w1=np.zeros((1, 3)))
-    m = evaluate(params, adj, np.array([0]), np.array([0]),
+    m = evaluate_on(params, adj, np.array([0]), np.array([0]),
                  ax=spmm(adj, np.ones((1, 1))))
     assert m.micro_f1 == 1.0  # tie resolved to class 0 == label

@@ -11,7 +11,7 @@ from conftest import load_real
 
 from dpgcn.data import save_dataset, load_dataset
 from dpgcn.graph import normalize_adjacency, spmm
-from dpgcn.model import GcnParams, evaluate
+from dpgcn.model import GcnParams, Target, evaluate
 
 
 def test_cora_shapes():
@@ -60,7 +60,8 @@ def test_citeseer_majority_class_micro_f1_near_018():
     w1[0, c] = 1.0
     params = GcnParams(w0=np.array([[1.0]]), w1=w1)
     adj = normalize_adjacency(ds.graph)
-    metrics = evaluate(params, adj, ds.labels, ds.test_nodes,
+    metrics = evaluate(params, adj,
+                       Target.of(ds.labels, ds.test_nodes, ds.num_classes),
                        ax=spmm(adj, features))
 
     assert metrics.micro_f1 == majority_fraction
