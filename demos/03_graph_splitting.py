@@ -8,29 +8,25 @@ split matters for privacy: sampling one subgraph per step (q = 1/s)
 amplifies the guarantee, so the same epsilon needs far less noise.
 """
 
-from dpgcn import rng as streams
 from dpgcn.accounting import calibrate_noise
 from dpgcn.data import SynthSpec, generate_synthetic
-from dpgcn.graph import mask_subgraph, random_partition
-from dpgcn.harness import ExperimentConfig, run_experiment
-from dpgcn.rng import Prng
+from dpgcn.harness import ExperimentConfig, run_experiment, split_dataset
 
 dataset = generate_synthetic(SynthSpec(
     block_sizes=(100,) * 5, p_intra=0.10, p_inter=0.01,
     feature_dim=16, feature_shift=1.0, seed=7))
 
 # ---------------------------------------------------------------------------
-# Partition the training nodes into s = 10 balanced, disjoint groups.
+# Partition the training nodes into s = 10 balanced, disjoint groups: the
+# same split a kind-C run with seed 0 trains on.
 s = 10
-groups = random_partition(dataset.train_nodes, s,
-                          Prng(0, streams.STREAM_PARTITION))
+pieces = split_dataset(dataset, dataset.train_nodes, s, seed=0)
 print(f"partitioned {dataset.train_nodes.size} training nodes into "
-      f"{s} subgraphs, sizes {[keep.size for keep in groups]}")
+      f"{s} subgraphs, sizes {[keep.size for keep, _ in pieces]}")
 
 # Masking keeps only the edges whose endpoints fall in the same subgraph;
 # each piece becomes one self-contained training example.
-kept = sum(mask_subgraph(dataset.graph, keep).indices.size // 2
-           for keep in groups)
+kept = sum(piece.graph.indices.size // 2 for _, piece in pieces)
 total = dataset.graph.indices.size // 2
 print(f"edges kept inside subgraphs: {kept} of {total} total "
       "(the rest cross a boundary or touch val/test nodes)")

@@ -9,16 +9,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .accounting import AccountantLedger, privacy_spent
-from .data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
-                   load_dataset, save_dataset)
-from .graph import mask_subgraph, random_partition
+from .data import (DatasetError, SynthSpec, generate_synthetic, load_dataset,
+                   save_dataset)
 from .harness import (ConfigError, emit_results, load_config, parse_key_values,
-                      run_experiment)
+                      run_experiment, split_dataset)
 from .planetoid import convert
-from .rng import STREAM_PARTITION, Prng
 
 _SPEC_PARSERS = {
     "block_sizes": lambda value: tuple(int(tok) for tok in value.split(",")),
@@ -103,24 +99,16 @@ def _cmd_split(args) -> int:
     if args.s < 1 or args.seed < 0:
         raise ConfigError("s must be positive and seed non-negative")
     ds = load_dataset(args.dataset)
-    rng = Prng(args.seed, STREAM_PARTITION)
     try:
-        groups = random_partition(ds.train_nodes, args.s, rng)
+        pieces = split_dataset(ds, ds.train_nodes, args.s, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
-    assignment = sorted((int(node), k) for k, keep in enumerate(groups) for node in keep)
+    assignment = sorted((int(i), k) for k, (keep, _) in enumerate(pieces) for i in keep)
     with open(os.path.join(args.out, "assignment.tsv"), "w",
               encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{node}\t{k}\n" for node, k in assignment)
-    for k, keep in enumerate(groups):
-        piece = Dataset(
-            name=f"{ds.name}-sub{k:03d}", graph=mask_subgraph(ds.graph, keep),
-            features=ds.features[keep], labels=ds.labels[keep],
-            train_nodes=np.arange(keep.size, dtype=np.int64),
-            val_nodes=np.empty(0, dtype=np.int64),
-            test_nodes=np.empty(0, dtype=np.int64),
-            num_classes=ds.num_classes, feature_kind=ds.feature_kind)
+        fh.writelines(f"{i}\t{k}\n" for i, k in assignment)
+    for k, (_, piece) in enumerate(pieces):
         save_dataset(piece, os.path.join(args.out, f"subgraph_{k:03d}"))
     print(f"wrote {args.s} subgraphs and assignment.tsv to {args.out}")
     return 0
@@ -133,7 +121,12 @@ def _cmd_synth(args) -> int:
         spec = SynthSpec(**values)
     except (TypeError, ValueError) as exc:  # a missing key, or SynthSpec's checks
         raise ConfigError(f"bad synth spec: {exc}") from exc
-    save_dataset(generate_synthetic(spec), args.out)
+    try:
+        ds = generate_synthetic(spec)
+    except MemoryError:  # sizes whose arrays cannot be allocated
+        raise ConfigError(f"bad synth spec: {spec.num_nodes} nodes of "
+                          f"{spec.feature_dim} features is too large") from None
+    save_dataset(ds, args.out)
     print(f"wrote synthetic dataset to {args.out}")
     return 0
 

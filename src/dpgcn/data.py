@@ -133,6 +133,15 @@ def load_dataset(path: str) -> Dataset:
                            "must be non-negative integers")
     kind = meta["feature_kind"]
     _check_feature_kind(kind)
+    try:  # sizes no array can hold fail here, before any file is read
+        labels = np.full(n, -1, dtype=np.int64)
+        if kind == "dense":
+            feature_types = (float,) * d
+        else:
+            features = np.zeros((n, d))
+    except (MemoryError, ValueError, OverflowError):
+        raise DatasetError("bad-meta",
+                           f"{n} nodes of {d} features is too large") from None
 
     edges = _read_rows(os.path.join(path, "edges.tsv"), (int, int))
     i, j = edges.T
@@ -142,7 +151,7 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetError("bad-edge-order", "edges must be sorted, unique")
 
     if kind == "dense":
-        features = _read_rows(os.path.join(path, "features.csv"), (float,) * d)
+        features = _read_rows(os.path.join(path, "features.csv"), feature_types)
     else:
         triplets = _read_rows(os.path.join(path, "features.tsv"), (int, int, float))
         node, dim, value = triplets.T
@@ -152,7 +161,6 @@ def load_dataset(path: str) -> Dataset:
         if np.unique(node * d + dim).size != node.size:
             raise DatasetError("duplicate-row",
                                "features.tsv lists a (node, dim) twice")
-        features = np.zeros((n, d))
         features[node, dim] = value
 
     node, cls = _read_rows(os.path.join(path, "labels.tsv"), (int, int)).T
@@ -162,7 +170,6 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetError("label-out-of-range", "class outside [0, num_classes)")
     if np.unique(node).size != node.size:
         raise DatasetError("duplicate-row", "labels.tsv lists a node twice")
-    labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
 
     masks = _read_rows(os.path.join(path, "masks.tsv"),

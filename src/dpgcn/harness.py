@@ -132,11 +132,6 @@ class ExperimentConfig:
     def steps_per_epoch(self) -> int:
         return max(1, self.s // (self.lot_size or self.s)) if self.is_dp else 1
 
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["seeds"] = list(self.seeds)
-        return out
-
 
 _BOOL_TOKENS = {"on": True, "off": False, "true": True, "false": False}
 _CONFIG_PARSERS = {f.name: float for f in fields(ExperimentConfig)} | {
@@ -238,8 +233,35 @@ class Example:
     target: Target
 
     @classmethod
-    def of(cls, adj, features, labels, mask, num_classes) -> "Example":
-        return cls(adj, spmm(adj, features), Target.of(labels, mask, num_classes))
+    def of(cls, dataset: Dataset, nodes) -> "Example":
+        """The dataset's whole graph, with nodes as the target."""
+        adj = normalize_adjacency(dataset.graph)
+        return cls(adj, spmm(adj, dataset.features),
+                   Target.of(dataset.labels, nodes, dataset.num_classes))
+
+
+def split_dataset(dataset: Dataset, nodes, s: int, seed: int) -> list:
+    """The seed's random split of nodes into s disjoint induced subgraphs:
+    one (global ids, piece) pair each, piece a Dataset whose nodes are all
+    training nodes, node i being global ids[i]. Kind C trains on the pieces
+    and `dpgcn split` writes them."""
+    pieces = []
+    seen = np.zeros(dataset.num_nodes, dtype=bool)
+    none = np.empty(0, dtype=np.int64)
+    groups = random_partition(nodes, s, Prng(seed, streams.STREAM_PARTITION))
+    for k, keep in enumerate(groups):
+        if seen[keep].any():
+            raise AssertionError("subgraphs share nodes")
+        seen[keep] = True
+        graph = mask_subgraph(dataset.graph, keep)
+        # every stored edge must stay inside the subgraph's node set
+        if graph.indices.size and graph.indices.max() >= keep.size:
+            raise AssertionError("cross-subgraph edge survived masking")
+        pieces.append((keep, Dataset(
+            f"{dataset.name}-sub{k:03d}", graph, dataset.features[keep],
+            dataset.labels[keep], np.arange(keep.size, dtype=np.int64), none,
+            none, dataset.num_classes, dataset.feature_kind)))
+    return pieces
 
 
 def _training_count(cfg: ExperimentConfig, available: int) -> int:
@@ -258,50 +280,27 @@ class _Trainer:
     def __init__(self, dataset: Dataset, cfg: ExperimentConfig, seed: int,
                  sigma: float | None):
         self.ds, self.cfg, self.seed = dataset, cfg, seed
-        self.rng_init = Prng(seed, streams.STREAM_INIT)
         self.rng_drop = Prng(seed, streams.STREAM_DROPOUT)
         self.rng_noise = Prng(seed, streams.STREAM_NOISE)
-        self.rng_part = Prng(seed, streams.STREAM_PARTITION)
         self.rng_lot = Prng(seed, streams.STREAM_LOT)
-        self.rng_sub = Prng(seed, streams.STREAM_SUBSAMPLE)
-        self.train_nodes = self._training_nodes()
-        self.params = init_params(dataset.feature_dim, cfg.hidden,
-                                  dataset.num_classes, self.rng_init)
+        nodes = dataset.train_nodes
+        if cfg.train_fraction < 1.0:
+            pick = Prng(seed, streams.STREAM_SUBSAMPLE).sample_without_replacement
+            nodes = nodes[pick(nodes.size, _training_count(cfg, nodes.size))]
+        self.train_nodes = nodes
+        self.params = init_params(dataset.feature_dim, cfg.hidden, dataset.num_classes,
+                                  Prng(seed, streams.STREAM_INIT))
         self.adam = AdamState.zeros(self.params.size) \
             if cfg.optimizer.startswith("adam") else None
         self.noise = DpNoiseSpec(cfg.clip_norm, sigma or 0.0) if cfg.is_dp else None
         self.ledger = AccountantLedger()
         # the full graph: validation and test, and kinds A and B's one example
-        self.full = Example.of(normalize_adjacency(dataset.graph),
-                               dataset.features, dataset.labels, self.train_nodes,
-                               dataset.num_classes)
-        self.examples = self._subgraph_examples() if cfg.kind == "C" else [self.full]
+        self.full = Example.of(dataset, nodes)
+        self.examples = [Example.of(piece, piece.train_nodes) for _, piece
+                         in split_dataset(dataset, nodes, cfg.s, seed)] \
+            if cfg.kind == "C" else [self.full]
         self.test = Target.of(dataset.labels, dataset.test_nodes,
                               dataset.num_classes)
-
-    def _training_nodes(self) -> np.ndarray:
-        nodes = self.ds.train_nodes
-        if self.cfg.train_fraction < 1.0:
-            pick = self.rng_sub.sample_without_replacement(
-                nodes.size, _training_count(self.cfg, nodes.size))
-            nodes = nodes[pick]
-        return nodes
-
-    def _subgraph_examples(self) -> list:
-        examples = []
-        seen = np.zeros(self.ds.num_nodes, dtype=bool)
-        for keep in random_partition(self.train_nodes, self.cfg.s, self.rng_part):
-            if seen[keep].any():
-                raise AssertionError("subgraphs share nodes")
-            seen[keep] = True
-            graph = mask_subgraph(self.ds.graph, keep)
-            # every stored edge must stay inside the subgraph's node set
-            if graph.indices.size and graph.indices.max() >= keep.size:
-                raise AssertionError("cross-subgraph edge survived masking")
-            examples.append(Example.of(normalize_adjacency(graph),
-                                       self.ds.features[keep], self.ds.labels[keep],
-                                       np.arange(keep.size), self.ds.num_classes))
-        return examples
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
         ex = self.examples[k]
@@ -492,7 +491,7 @@ def run_experiment(config: ExperimentConfig,
         # they agree
         "fingerprint": host_fingerprint(),
     }
-    return ResultsRecord(cfg.to_dict(), outcomes, aggregate, metadata)
+    return ResultsRecord(asdict(cfg), outcomes, aggregate, metadata)
 
 
 def emit_results(record: ResultsRecord, out_dir: str) -> None:

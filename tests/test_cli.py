@@ -82,6 +82,19 @@ def test_synth_non_finite_feature_shift_exits_2(tmp_path, capsys, shift):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("line,huge", [
+    ("block_sizes = 40,40", f"block_sizes = {10**15},{10**15}"),
+    ("feature_dim = 6", f"feature_dim = {10**15}"),
+], ids=["block_sizes", "feature_dim"])
+def test_synth_unallocatable_size_exits_2(tmp_path, capsys, line, huge):
+    # sizes past any address space: the first allocation fails at once
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC_TEXT.replace(line, huge))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    assert "is too large" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("command,flag", [("run", "--config"),
                                           ("synth", "--spec")])
 @pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])

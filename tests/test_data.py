@@ -95,6 +95,16 @@ def test_fixture_round_trips_through_save(tmp_path):
     (dict(masks=("9\ttrain",)), "index-out-of-range"),
     (dict(labels=("0\t0", "1\t1"), masks=("2\ttest",)), "unlabeled-masked-node"),
     (dict(masks=("0\ttrain", "0\ttrain")), "duplicate-row"),
+    # sizes past any address space: each allocation fails at once
+    (dict(meta={"name": "x", "num_nodes": 10**15, "num_classes": 2,
+                "feature_dim": 2, "feature_kind": "dense"}), "bad-meta"),
+    (dict(meta={"name": "x", "num_nodes": 3, "num_classes": 2,
+                "feature_dim": 10**15, "feature_kind": "dense"}), "bad-meta"),
+    (dict(meta={"name": "x", "num_nodes": 3, "num_classes": 2,
+                "feature_dim": 10**15, "feature_kind": "sparse"},
+          feature_file="features.tsv", features=("0\t1\t0.5",)), "bad-meta"),
+    (dict(meta={"name": "x", "num_nodes": 10**30, "num_classes": 2,
+                "feature_dim": 2, "feature_kind": "dense"}), "bad-meta"),
 ])
 def test_load_error_codes(tmp_path, mutate, code):
     path = write_fixture(tmp_path / "bad", **mutate)
@@ -126,9 +136,9 @@ def _rewrite(name, edit):
     return mutate
 
 
-def _meta_size(value):
-    return _rewrite("meta.json", lambda raw: raw.replace(b'"num_nodes": 3',
-                                                          b'"num_nodes": ' + value))
+def _meta_size(value, key=b"num_nodes", was=b"3"):
+    return _rewrite("meta.json", lambda raw: raw.replace(b'"%s": %s' % (key, was),
+                                                          b'"%s": %s' % (key, value)))
 
 
 def _zero_features(root):
@@ -152,6 +162,8 @@ BROKEN_FILES = {
     "meta-size-string": _meta_size(b'"x"'),
     "meta-size-float": _meta_size(b"3.7"),
     "meta-size-bool": _meta_size(b"true"),
+    "meta-size-huge": _meta_size(b"%d" % 10**15),
+    "meta-feature-dim-huge": _meta_size(b"%d" % 10**15, b"feature_dim", b"2"),
     "edges-3-columns": _rewrite("edges.tsv", lambda raw: b"0\t1\t2\n1\t2\n"),
     "masks-1-column": _rewrite("masks.tsv", lambda raw: raw.replace(b"\tval", b"")),
     "labels-non-integer": _rewrite("labels.tsv",

@@ -19,12 +19,13 @@ import dpgcn.harness as harness_mod
 import dpgcn.model as model_mod
 from dpgcn import rng as streams
 from dpgcn.accounting import AccountantLedger, calibrate_noise, privacy_spent
-from dpgcn.data import SynthSpec, generate_synthetic
-from dpgcn.graph import random_partition, spmm
+from dpgcn.cli import main
+from dpgcn.data import SynthSpec, generate_synthetic, load_dataset, save_dataset
+from dpgcn.graph import normalize_adjacency, random_partition, spmm
 from dpgcn.harness import (ConfigError, ExperimentConfig, ResultsRecord,
                            SeedOutcome, TrainingDiverged, early_stop_check,
                            emit_results, hard_case_overlap, parse_config_text,
-                           resolve_sigma, run_experiment)
+                           resolve_sigma, run_experiment, split_dataset)
 from dpgcn.rng import Prng
 
 
@@ -537,6 +538,39 @@ def test_kind_c_examples_hold_their_groups_rows(sbm):
     for ex, keep in zip(trainer.examples, groups):
         assert np.array_equal(ex.ax, spmm(ex.adj, sbm.features[keep]))
         assert np.array_equal(ex.target.labels, sbm.labels[keep])
+
+
+def test_cli_split_writes_the_pieces_kind_c_trains_on(sbm, tmp_path):
+    # `dpgcn split` must show the split a run uses: each written piece
+    # rebuilds its example bit for bit
+    save_dataset(sbm, str(tmp_path / "data"))
+    assert main(["split", "--dataset", str(tmp_path / "data"), "--s", "4",
+                 "--seed", "3", "--out", str(tmp_path / "split")]) == 0
+    cfg = ExperimentConfig(kind="C", optimizer="adam", s=4, seeds=(3,)).finalized()
+    trainer = harness_mod._Trainer(load_dataset(str(tmp_path / "data")), cfg,
+                                   seed=3, sigma=None)
+    assert len(trainer.examples) == 4
+    for k, ex in enumerate(trainer.examples):
+        piece = load_dataset(str(tmp_path / "split" / f"subgraph_{k:03d}"))
+        adj = normalize_adjacency(piece.graph)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(adj, part), getattr(ex.adj, part))
+        assert np.array_equal(spmm(adj, piece.features), ex.ax)
+        assert np.array_equal(piece.labels, ex.target.labels)
+        assert np.array_equal(piece.train_nodes, ex.target.ids)
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("random_partition", lambda nodes, s, rng: [nodes[:2], nodes[1:3]],
+     "subgraphs share nodes"),
+    # the unmasked graph keeps edges to nodes past the group's size
+    ("mask_subgraph", lambda graph, keep: graph,
+     "cross-subgraph edge survived masking"),
+], ids=["overlapping-groups", "edge-outside-group"])
+def test_split_dataset_checks_its_pieces(sbm, monkeypatch, name, fake, message):
+    monkeypatch.setattr(harness_mod, name, fake)
+    with pytest.raises(AssertionError, match=message):
+        split_dataset(sbm, sbm.train_nodes, 4, seed=0)
 
 
 @pytest.mark.parametrize("kind, optimizer, unit", [
