@@ -7,7 +7,7 @@ directory format and synthetic generator (data), and the experiment driver
 (harness). The dpgcn CLI fronts the harness.
 """
 
-__version__ = "0.1.0"  # before the submodules: harness records it
+__version__ = "0.2.0"  # before the submodules: harness records it
 
 from .accounting import (AccountantLedger, calibrate_noise, compose,
                          delta_from_eps, eps_from_delta, gaussian_log_moment,

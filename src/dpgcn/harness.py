@@ -288,8 +288,13 @@ class _Trainer:
             pick = Prng(seed, streams.STREAM_SUBSAMPLE).sample_without_replacement
             nodes = nodes[pick(nodes.size, _training_count(cfg, nodes.size))]
         self.train_nodes = nodes
-        self.params = init_params(dataset.feature_dim, cfg.hidden, dataset.num_classes,
-                                  Prng(seed, streams.STREAM_INIT))
+        try:
+            self.params = init_params(dataset.feature_dim, cfg.hidden,
+                                      dataset.num_classes, Prng(seed, streams.STREAM_INIT))
+        except (MemoryError, ValueError) as exc:  # sizes no array can hold
+            raise ConfigError(
+                f"cannot build weights for feature_dim={dataset.feature_dim}, "
+                f"hidden={cfg.hidden}, num_classes={dataset.num_classes}: {exc}") from None
         self.adam = AdamState.zeros(self.params.size) \
             if cfg.optimizer.startswith("adam") else None
         self.noise = DpNoiseSpec(cfg.clip_norm, sigma or 0.0) if cfg.is_dp else None

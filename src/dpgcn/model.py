@@ -158,7 +158,8 @@ def masked_cross_entropy(target: Target, *, log_probs: np.ndarray) -> float:
     ``log_probs`` is masked_log_probs(logits, target).
     """
     _check_log_probs(log_probs, target)
-    return float(-(log_probs.take(target.cells).sum() / target.ids.size))
+    # 0.0 - x, not -x: a perfect fit is +0.0, and any other loss keeps its bits
+    return float(0.0 - log_probs.take(target.cells).sum() / target.ids.size)
 
 
 def backward(trace: ForwardTrace, target: Target, *,

@@ -1,4 +1,4 @@
-"""Seeded random streams whose draws do not depend on numpy's SIMD dispatch."""
+"""Seeded SFC64 streams whose draws do not depend on numpy's SIMD dispatch."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ STREAM_SUBSAMPLE = 6
 
 
 class Prng:
-    """Counter-based random stream (Philox) with numpy's ziggurat normals.
+    """An SFC64 stream with numpy's ziggurat normals; (seed, stream) pairs
+    are separated by ``SeedSequence(entropy=seed, spawn_key=(stream,))``.
 
     `uniform` and `normal` are numpy's `Generator.random` and
     `standard_normal`. They run no SIMD-dispatched math, so a (seed, stream)
@@ -27,7 +28,7 @@ class Prng:
 
     def __init__(self, seed: int, stream: int = 0):
         seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self._gen = np.random.Generator(np.random.SFC64(seq))
 
     def uniform(self, size=None):
         """Uniform doubles in [0, 1)."""

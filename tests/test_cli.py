@@ -175,6 +175,24 @@ def test_run_dp_with_early_stopping_exits_2(synth_dir, tmp_path, capsys, kind):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("where", ["hidden", "num_classes"])
+def test_run_unallocatable_weights_exit_2(synth_dir, tmp_path, capsys, where):
+    # sizes past any address space: init_params's first allocation fails at once
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset = {synth_dir}\nkind = A\nmax_epochs = 2\n"
+                      + (f"hidden = {10**15}\n" if where == "hidden" else ""))
+    if where == "num_classes":
+        meta_path = synth_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, num_classes=10**15)))
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "results")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot build weights for feature_dim=6" in err
+    assert f"{where}={10**15}" in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_unknown_config_key_exits_2(synth_dir, tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(f"dataset = {synth_dir}\nturbo = on\n")

@@ -381,7 +381,7 @@ def test_run_rerun_bitwise_identical(sbm):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_run_divergence_is_recorded_not_raised(sbm):
-    cfg = ExperimentConfig(kind="A", optimizer="sgd", lr=1e8, dropout=0.0,
+    cfg = ExperimentConfig(kind="A", optimizer="sgd", lr=1e300, dropout=0.0,
                            max_epochs=50, early_stopping=False, seeds=(0, 1))
     record = run_experiment(cfg, dataset=sbm)
     assert record.aggregate["seeds_failed"] == 2

@@ -181,6 +181,20 @@ def test_ce_extreme_logits_finite():
     assert np.isfinite(loss) and loss == pytest.approx(1000.0, rel=1e-12)
 
 
+def test_ce_perfect_fit_is_positive_zero():
+    # saturated logits: every log-probability is 0, and the loss +0.0, not -0.0
+    logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
+    loss = loss_of(logits, np.array([0, 1]), np.array([0, 1]))
+    assert loss == 0.0 and np.copysign(1.0, loss) == 1.0
+    # any other loss has the bits of the plain negated mean
+    rng = np.random.default_rng(4)
+    logits, labels = rng.normal(size=(6, 3)), rng.integers(0, 3, size=6)
+    target = Target.of(labels, np.arange(6), 3)
+    log_probs = masked_log_probs(logits, target)
+    want = -(log_probs[np.arange(6), labels].sum() / 6)
+    assert masked_cross_entropy(target, log_probs=log_probs) == want
+
+
 def test_ce_upper_bound_uniform():
     rng = np.random.default_rng(0)
     for k in (2, 3, 7):
