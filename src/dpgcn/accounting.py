@@ -97,7 +97,9 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
         log_terms += (a - k) * math.log1p(-q)
     # k > a is outside the row; at q = 1, (1 - q)^(a - k) vanishes for every k < a
     log_terms[(k > a) | ((k < a) & (q == 1.0))] = -np.inf
-    top = log_terms.max(axis=-1, keepdims=True)
+    # capped at the largest float: a +inf term (tiny sigma) gives alpha = +inf,
+    # where shifting by it would give inf - inf = nan
+    top = np.minimum(log_terms.max(axis=-1, keepdims=True), np.finfo(np.float64).max)
     return np.logaddexp(0.0, top[..., 0] + np.log(np.exp(log_terms - top).sum(axis=-1)))
 
 
@@ -138,8 +140,8 @@ def eps_from_delta(ledger: AccountantLedger, delta: float) -> float:
 
 def delta_from_eps(ledger: AccountantLedger, epsilon: float) -> float:
     """Tightest tail-bound delta at the given epsilon, capped at 1."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:  # at inf, an infinite log moment gives nan
+        raise ValueError("epsilon must be nonnegative and finite")
     orders = np.asarray(ledger.moment_orders, dtype=np.float64)
     totals = compose(ledger)
     exponent = float((totals - orders * epsilon).min())

@@ -67,6 +67,8 @@ class Dataset:
         if self.labels.max(initial=-1) >= self.num_classes:
             raise DatasetError("label-out-of-range",
                                "label id exceeds num_classes")
+        if self.labels.min(initial=-1) < -1:  # -1 marks an unlabeled node
+            raise DatasetError("label-out-of-range", "label id below -1")
         masks = np.concatenate([self.train_nodes, self.val_nodes, self.test_nodes])
         if masks.size and (masks.min() < 0 or masks.max() >= n):
             raise DatasetError("index-out-of-range", "mask node id out of range")

@@ -3,6 +3,8 @@
 One lot update: clip each example gradient to norm C, sum, add a single
 N(0, (sigma C)^2 I) draw, divide by the lot size. Noise enters the update
 before any optimizer state, so Adam's moments only ever see noised sums.
+Gradients, noise, Adam's moments and the parameters the optimizers update
+(``GcnParams.flat``) are flat vectors in one layout.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GcnParams
 from .rng import Prng
 
 
@@ -60,9 +61,9 @@ def noisy_lot_gradient(per_example_grads, spec: DpNoiseSpec,
     return total / len(grads)
 
 
-def sgd_step(params: GcnParams, grad: np.ndarray, lr: float) -> None:
-    """Plain in-place descent step."""
-    params.add_flat(-lr * grad)
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Plain descent step on the flat parameters, in place."""
+    params -= lr * grad
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS_HAT = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
@@ -79,9 +80,9 @@ class AdamState:
         return cls(np.zeros(dim), np.zeros(dim))
 
 
-def adam_step(state: AdamState, params: GcnParams, grad: np.ndarray,
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
               lr: float) -> None:
-    """Bias-corrected Adam update, mutating state and params.
+    """Bias-corrected Adam update, mutating state and the flat params.
 
     m and v are updated in place. Every product and quotient is the one
     the textbook formula evaluates, in the same order, so the update is
@@ -102,7 +103,7 @@ def adam_step(state: AdamState, params: GcnParams, grad: np.ndarray,
     step = state.m / (1.0 - b1 ** state.t)  # m_hat
     step *= -lr
     step /= denom
-    params.add_flat(step)
+    params += step
 
 
 def sample_lot(num_examples: int, lot_size: int, rng: Prng) -> np.ndarray:

@@ -57,6 +57,16 @@ def spmm(adj: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
     return adj @ dense
 
 
+def node_ids(nodes) -> np.ndarray:
+    """nodes as int64 ids; a bool or float dtype or a negative id is a ValueError."""
+    ids = np.asarray(nodes)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"node ids must be integers, not {ids.dtype}")
+    if ids.size and ids.min() < 0:  # numpy would read -1 as the last node
+        raise ValueError("negative node id")
+    return ids.astype(np.int64, copy=False)
+
+
 def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> list[np.ndarray]:
     """Split the training nodes at random into num_subgraphs disjoint groups.
 
@@ -64,14 +74,12 @@ def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> list[np.n
     ceil(n/s) nodes, the rest floor(n/s). Each group is a sorted int64
     array of global node ids.
     """
-    nodes = np.unique(np.asarray(training_nodes, dtype=np.int64))
+    nodes = np.unique(node_ids(training_nodes))
     n, s = nodes.size, int(num_subgraphs)
     if s < 1:
         raise ValueError("need at least one subgraph")
     if s > n:
         raise ValueError(f"cannot split {n} nodes into {s} subgraphs")
-    if nodes[0] < 0:
-        raise ValueError("negative node id")
     return [nodes[np.sort(chunk)] for chunk in np.array_split(rng.permutation(n), s)]
 
 

@@ -295,7 +295,7 @@ class _Trainer:
             raise ConfigError(
                 f"cannot build weights for feature_dim={dataset.feature_dim}, "
                 f"hidden={cfg.hidden}, num_classes={dataset.num_classes}: {exc}") from None
-        self.adam = AdamState.zeros(self.params.size) \
+        self.adam = AdamState.zeros(self.params.flat.size) \
             if cfg.optimizer.startswith("adam") else None
         self.noise = DpNoiseSpec(cfg.clip_norm, sigma or 0.0) if cfg.is_dp else None
         self.ledger = AccountantLedger()
@@ -323,9 +323,9 @@ class _Trainer:
 
     def _step(self, grad: np.ndarray) -> None:
         if self.adam is not None:
-            adam_step(self.adam, self.params, grad, self.cfg.lr)
+            adam_step(self.adam, self.params.flat, grad, self.cfg.lr)
         else:
-            sgd_step(self.params, grad, self.cfg.lr)
+            sgd_step(self.params.flat, grad, self.cfg.lr)
 
     def run_epoch(self, epoch: int) -> None:
         cfg, n = self.cfg, len(self.examples)

@@ -16,30 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import spmm
+from .graph import node_ids, spmm
 from .rng import Prng
 
 
-@dataclass
 class GcnParams:
-    w0: np.ndarray  # (feature_dim, hidden)
-    w1: np.ndarray  # (hidden, num_classes)
+    """The weights as one float64 vector, ``flat``: w0 row-major, then w1,
+    the layout of every gradient, noise draw and optimizer state. ``w0``
+    (feature_dim, hidden) and ``w1`` (hidden, num_classes) are views of it,
+    so an in-place update of ``flat`` moves both. The inputs are copied."""
 
-    @property
-    def size(self) -> int:
-        return self.w0.size + self.w1.size
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.w0.ravel(), self.w1.ravel()])
+    def __init__(self, w0, w1):
+        w0, w1 = np.asarray(w0), np.asarray(w1)
+        self.flat = np.concatenate([w0.ravel(), w1.ravel()], dtype=np.float64)
+        self.w0 = self.flat[:w0.size].reshape(w0.shape)
+        self.w1 = self.flat[w0.size:].reshape(w1.shape)
 
     def copy(self) -> "GcnParams":
-        return GcnParams(self.w0.copy(), self.w1.copy())
-
-    def add_flat(self, delta: np.ndarray) -> None:
-        """In-place update from a flat vector laid out as (w0, w1)."""
-        k = self.w0.size
-        self.w0 += delta[:k].reshape(self.w0.shape)
-        self.w1 += delta[k:].reshape(self.w1.shape)
+        return GcnParams(self.w0, self.w1)
 
 
 @dataclass
@@ -100,8 +94,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _masked_labels(labels: np.ndarray, mask,
                    num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """The mask as int64 ids and its labels; checks that the mask is
-    non-empty and that every masked label is one of num_classes."""
-    mask = np.asarray(mask, dtype=np.int64)
+    non-empty integer ids and that every masked label is one of num_classes."""
+    mask = node_ids(mask)
     if mask.size == 0:
         raise ValueError("empty mask")
     y = np.asarray(labels)[mask]
@@ -164,7 +158,7 @@ def masked_cross_entropy(target: Target, *, log_probs: np.ndarray) -> float:
 
 def backward(trace: ForwardTrace, target: Target, *,
              log_probs: np.ndarray) -> np.ndarray:
-    """Flat gradient (w0 then w1) of the target's loss at the traced point.
+    """Gradient of the target's loss at the traced point, as params.flat.
 
     ``log_probs`` is masked_log_probs(trace.logits, target).
     """
@@ -181,7 +175,7 @@ def backward(trace: ForwardTrace, target: Target, *,
         flat = (target.ids[:, None] * k + np.arange(k)).ravel()
         g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
     ag1 = spmm(trace.adj, g1)  # A is symmetric, so this is A^T g1
-    grad = np.empty(params.size)
+    grad = np.empty(params.flat.size)
     split = params.w0.size
     np.matmul(trace.hidden.T, ag1, out=grad[split:].reshape(params.w1.shape))
     g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)

@@ -167,6 +167,16 @@ def test_closed_form_finite_at_extreme_sigma(sigma):
     assert math.isfinite(got) and got >= 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_closed_form_infinite_not_nan_past_the_float_range():
+    # at sigma = 1e-154 the k = 2 term is finite (x = 1e308) and every
+    # k >= 3 term is +inf, so order 1 stays finite and every other order is
+    # +inf, where shifting by the largest term used to give inf - inf = nan
+    alpha = log_moment(0.1, 1e-154, np.arange(1, 65))
+    assert math.isfinite(alpha[0])
+    assert np.isposinf(alpha[1:]).all()
+
+
 @given(q=st.floats(1e-6, 1.0), sigma=st.floats(0.5, 200.0),
        lam=st.integers(1, 63), q_factor=st.floats(1.0, 10.0),
        sigma_factor=st.floats(1.0, 10.0))
@@ -321,6 +331,16 @@ def test_eps_delta_validation():
         eps_from_delta(ledger(1.0, 4.0, 10), 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+@pytest.mark.parametrize("q", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e-154])
+def test_eps_infinite_not_nan_at_tiny_sigma(q, sigma):
+    # as the q = 1 closed form gives: no noise worth the name, no finite epsilon
+    eps, order = privacy_spent(ledger(q, sigma, 10), 1e-5)
+    assert eps == math.inf
+    assert order in DEFAULT_MOMENT_ORDERS
+
+
 # ---- delta_from_eps ----
 
 def test_delta_round_trip():
@@ -346,6 +366,14 @@ def test_delta_within_factor_of_published_row():
 
 def test_delta_capped_at_one():
     assert delta_from_eps(ledger(1.0, 0.5, 5000), 0.0) == 1.0
+
+
+def test_delta_rejects_non_finite_epsilon():
+    # NaN gave a NaN delta; inf did too wherever a log moment is +inf
+    # (sigma = 1e-200), as inf - inf * order is nan
+    for eps in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            delta_from_eps(ledger(0.1, 1e-200, 10), eps)
 
 
 # ---- calibrate_noise ----

@@ -241,6 +241,14 @@ def test_account_rejects_non_finite_sigma(capsys, sigma):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+def test_account_tiny_sigma_prints_infinite_epsilon(capsys, sigma):
+    assert main(["account", "--q", "0.1", "--sigma", sigma,
+                 "--steps", "10"]) == 0
+    assert capsys.readouterr().out.startswith("epsilon=inf moment_order=1 ")
+
+
 def test_split_outputs_loadable_disjoint_pieces(synth_dir, tmp_path):
     out = tmp_path / "splits"
     assert main(["split", "--dataset", str(synth_dir), "--s", "3",

@@ -316,6 +316,19 @@ def test_validate_rejects_bad_datasets():
     assert exc.value.code == "unlabeled-masked-node"
 
 
+def test_validate_rejects_labels_below_minus_one(tmp_path):
+    # node 3 is in no mask; saving skipped its label and the reload read -1
+    base = small_dataset()
+    ds = Dataset(base.name, base.graph, base.features, np.array([0, 1, 1, -5]),
+                 base.train_nodes, base.val_nodes, base.test_nodes, 2)
+    with pytest.raises(DatasetError) as exc:
+        ds.validate()
+    assert exc.value.code == "label-out-of-range"
+    with pytest.raises(DatasetError, match="label-out-of-range"):
+        save_dataset(ds, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_save_rejects_unknown_feature_kind_before_writing(tmp_path):
     # load_dataset reads only "dense" and "sparse", so save_dataset must not
     # write a directory with any other kind

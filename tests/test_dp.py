@@ -1,8 +1,12 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpgcn.dp as dp_mod
 from dpgcn.dp import (AdamState, DpNoiseSpec, adam_step, clip_gradient,
                       noisy_lot_gradient, sample_lot, sgd_step)
 from dpgcn.model import GcnParams
@@ -178,43 +182,43 @@ def test_clip_rejects_bad_clip_norm(clip_norm):
 
 def test_sgd_zero_gradient_no_change():
     p = params_from([[1.0]], [[2.0, 3.0]])
-    before = p.flatten()
-    sgd_step(p, np.zeros(3), 0.1)
-    assert np.array_equal(p.flatten(), before)
+    before = p.flat.copy()
+    sgd_step(p.flat, np.zeros(3), 0.1)
+    assert np.array_equal(p.flat, before)
 
 
 def test_sgd_hand_value():
     p = params_from([[1.0]], [[0.0, 0.0]])
-    sgd_step(p, np.array([0.5, 0.0, 0.0]), 0.01)
+    sgd_step(p.flat, np.array([0.5, 0.0, 0.0]), 0.01)
     assert p.w0[0, 0] == pytest.approx(0.995, abs=0)
 
 
 def test_sgd_linearity_in_lr():
     a = params_from([[1.0, -1.0]], [[2.0], [0.5]])
     b = a.copy()
-    start = a.flatten()
+    start = a.flat.copy()
     g = np.array([0.3, -0.2, 1.0, 0.1])
-    sgd_step(a, g, 0.01)
-    sgd_step(b, g, 0.02)
-    assert np.allclose(b.flatten() - start, 2.0 * (a.flatten() - start),
+    sgd_step(a.flat, g, 0.01)
+    sgd_step(b.flat, g, 0.02)
+    assert np.allclose(b.flat - start, 2.0 * (a.flat - start),
                        rtol=1e-12)
 
 
 def test_sgd_two_steps_accumulate():
     p = params_from([[1.0]], [[1.0]])
-    sgd_step(p, np.ones(2), 0.25)
-    sgd_step(p, np.ones(2), 0.25)
-    assert np.array_equal(p.flatten(), [0.5, 0.5])
+    sgd_step(p.flat, np.ones(2), 0.25)
+    sgd_step(p.flat, np.ones(2), 0.25)
+    assert np.array_equal(p.flat, [0.5, 0.5])
 
 
 # ---- adam_step (mutates state and params in place) ----
 
 def test_adam_zero_gradient_no_change():
     p = params_from([[1.0]], [[2.0]])
-    before = p.flatten()
+    before = p.flat.copy()
     state = AdamState.zeros(2)
-    adam_step(state, p, np.zeros(2), 0.01)
-    assert np.array_equal(p.flatten(), before)
+    adam_step(state, p.flat, np.zeros(2), 0.01)
+    assert np.array_equal(p.flat, before)
     assert state.t == 1
 
 
@@ -222,8 +226,8 @@ def test_adam_first_step_moves_by_lr():
     # bias correction makes m_hat = g, v_hat = g^2: step = lr * g/(|g|+eps)
     p = params_from([[0.0]], [[0.0]])
     state = AdamState.zeros(2)
-    adam_step(state, p, np.array([7.0, -0.001]), 0.1)
-    flat = p.flatten()
+    adam_step(state, p.flat, np.array([7.0, -0.001]), 0.1)
+    flat = p.flat
     assert flat[0] == pytest.approx(-0.1, rel=1e-6)
     assert flat[1] == pytest.approx(0.1, rel=1e-4)
     assert state.t == 1
@@ -231,20 +235,20 @@ def test_adam_first_step_moves_by_lr():
 
 def test_adam_descends_along_sign():
     p = params_from([[1.0, 1.0]], [[1.0], [1.0]])
-    start = p.flatten()
+    start = p.flat.copy()
     state = AdamState.zeros(4)
     g = np.array([1.0, -1.0, 2.0, -0.5])
-    adam_step(state, p, g, 0.05)
-    assert (np.sign(p.flatten() - start) == -np.sign(g)).all()
+    adam_step(state, p.flat, g, 0.05)
+    assert (np.sign(p.flat - start) == -np.sign(g)).all()
 
 
 def test_adam_moment_recurrence():
     state = AdamState.zeros(2)
     p = params_from([[0.0]], [[0.0]])
-    adam_step(state, p, np.array([2.0, 0.0]), 0.01)
+    adam_step(state, p.flat, np.array([2.0, 0.0]), 0.01)
     assert state.m[0] == pytest.approx(0.1 * 2.0, rel=1e-15)
     assert state.v[0] == pytest.approx(0.001 * 4.0, rel=1e-12)
-    adam_step(state, p, np.array([-1.0, 0.0]), 0.01)
+    adam_step(state, p.flat, np.array([-1.0, 0.0]), 0.01)
     assert state.m[0] == pytest.approx(0.9 * 0.2 + 0.1 * (-1.0), rel=1e-12)
     assert state.v[0] == pytest.approx(0.999 * 0.004 + 0.001 * 1.0, rel=1e-12)
     assert state.t == 2
@@ -254,14 +258,14 @@ def test_adam_bitwise_equals_out_of_place_formula():
     # the textbook update, one new array per operation, as the reference
     rng = np.random.default_rng(23)
     p = params_from(rng.normal(size=(6, 5)), rng.normal(size=(5, 3)))
-    want_params = p.flatten()
-    state = AdamState.zeros(p.size)
-    m, v = np.zeros(p.size), np.zeros(p.size)
+    want_params = p.flat.copy()
+    state = AdamState.zeros(p.flat.size)
+    m, v = np.zeros(p.flat.size), np.zeros(p.flat.size)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, 51):
-        g = rng.normal(size=p.size) * 10.0 ** rng.uniform(-6, 3)
+        g = rng.normal(size=p.flat.size) * 10.0 ** rng.uniform(-6, 3)
         lr = float(rng.choice([1e-3, 0.01, 0.3]))
-        adam_step(state, p, g, lr)
+        adam_step(state, p.flat, g, lr)
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
@@ -269,7 +273,28 @@ def test_adam_bitwise_equals_out_of_place_formula():
         want_params += -lr * m_hat / (np.sqrt(v_hat) + eps)
         assert state.t == t
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-        assert np.array_equal(p.flatten(), want_params), t
+        assert np.array_equal(p.flat, want_params), t
+
+
+def test_steps_on_flat_move_both_weights():
+    for step in (lambda p, g: sgd_step(p.flat, g, 0.1),
+                 lambda p, g: adam_step(AdamState.zeros(4), p.flat, g, 0.1)):
+        p = params_from([[1.0, 2.0]], [[3.0], [4.0]])
+        step(p, np.ones(4))
+        assert (p.w0 < [[1.0, 2.0]]).all() and (p.w1 < [[3.0], [4.0]]).all()
+
+
+def test_dp_imports_nothing_from_model():
+    # the optimizers take the flat vector, so dp needs no parameter type
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(dp_mod))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            if node.module is None:  # from . import x
+                imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not imported & {"model", "dpgcn", "dpgcn.model"}
 
 
 # ---- sample_lot ----

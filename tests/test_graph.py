@@ -207,6 +207,16 @@ def test_partition_errors():
         random_partition(np.array([-2, 0, 1]), 2, Prng(0))
 
 
+def test_partition_ids_are_integers_not_cast():
+    # a cast would read the bool mask as ids [1, 0, 1, 1] and 3.7 as node 3
+    for nodes in (np.array([True, False, True, True]), np.array([0.9, 3.7, 5.0]),
+                  np.array([0.0, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="must be integers"):
+            random_partition(nodes, 2, Prng(0))
+    groups = random_partition(np.array([3, 0, 2], dtype=np.uint8), 2, Prng(0))
+    assert all(g.dtype == np.int64 for g in groups)
+
+
 def test_partition_covers_exact_node_set():
     nodes = np.array([4, 9, 17, 2, 30])
     groups = random_partition(nodes, 2, Prng(1))

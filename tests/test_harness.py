@@ -352,6 +352,16 @@ def test_run_c_dp_with_target_epsilon(sbm):
         calibrate_noise(4.0, 1e-5, 0.25, 20))
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+def test_run_c_tiny_sigma_reports_infinite_epsilon(sbm):
+    # the accountant's terms overflow at this sigma; epsilon is +inf, not nan
+    cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=1,
+                           sigma=1e-200, max_epochs=1, seeds=(0, 1))
+    record = run_experiment(cfg, dataset=sbm)
+    assert [o.epsilon for o in record.seeds] == [float("inf")] * 2
+    assert record.aggregate["epsilon"] == float("inf")
+
+
 def test_run_refuses_epsilon_above_target(sbm, monkeypatch):
     calibrated = harness_mod.calibrate_noise
     monkeypatch.setattr(harness_mod, "calibrate_noise",

@@ -70,6 +70,33 @@ def test_init_deterministic():
     assert np.array_equal(a.w0, b.w0) and np.array_equal(a.w1, b.w1)
 
 
+# ---- GcnParams: w0 and w1 are views of one flat vector ----
+
+def test_params_copy_their_inputs():
+    w0, w1 = np.arange(15).reshape(3, 5), np.arange(10.0).reshape(5, 2)
+    params = GcnParams(w0=w0, w1=w1)
+    assert params.flat.dtype == np.float64
+    assert not np.shares_memory(params.flat, w0)
+    assert not np.shares_memory(params.flat, w1)
+    w0[0, 0] = w1[0, 0] = 99
+    assert params.w0[0, 0] == 0.0 and params.w1[0, 0] == 0.0
+    twin = params.copy()
+    twin.flat += 1.0
+    assert params.w0[0, 0] == 0.0 and params.w1[0, 0] == 0.0
+
+
+def test_params_weights_are_views_of_flat():
+    # feature_dim 3 and hidden 5: w1 starts 120 bytes in, not 16-byte aligned
+    params = init_params(3, 5, 2, Prng(0))
+    assert params.flat.shape == (3 * 5 + 5 * 2,)
+    assert np.shares_memory(params.w0, params.flat)
+    assert np.shares_memory(params.w1, params.flat)
+    assert np.array_equal(params.flat,
+                          np.concatenate([params.w0.ravel(), params.w1.ravel()]))
+    params.flat[:] = np.arange(params.flat.size)
+    assert params.w0[1, 0] == 5.0 and params.w1[0, 1] == 16.0
+
+
 # ---- forward ----
 
 def test_forward_zero_features_zero_logits():
@@ -214,14 +241,14 @@ def test_ce_errors():
 # ---- backward: finite-difference oracle ----
 
 def numerical_gradient(params, adj, feats, labels, mask, step=1e-4):
-    flat = params.flatten()
+    flat = params.flat
     grad = np.empty_like(flat)
     for i in range(flat.size):
         delta = np.zeros_like(flat)
         delta[i] = step
         up, down = params.copy(), params.copy()
-        up.add_flat(delta)
-        down.add_flat(-delta)
+        up.flat += delta
+        down.flat -= delta
         lu = loss_of(run_forward(up, adj, feats).logits, labels, mask)
         ld = loss_of(run_forward(down, adj, feats).logits, labels, mask)
         grad[i] = (lu - ld) / (2.0 * step)
@@ -426,6 +453,21 @@ def test_target_of_checks_mask_and_labels():
     assert np.array_equal(target.labels, [1, 0])
     assert np.array_equal(target.cells, [0 * 3 + 1, 1 * 3 + 0])
     assert target.num_classes == 3
+
+
+@pytest.mark.parametrize("mask, message", [
+    (np.array([True, False, True, False, True]), "must be integers"),
+    (np.array([0.9, 3.7]), "must be integers"),
+    (np.array([0.0, 1.0]), "must be integers"),  # whole floats too
+    (np.array([2, -1]), "negative node id"),
+    ([], "empty mask"),  # float64 when empty: still the empty-mask error
+    (np.array([], dtype=bool), "empty mask"),
+])
+def test_target_ids_are_integers_not_cast(mask, message):
+    # a cast would read the bool mask as ids [1, 0, 1, 0, 1] and the floats
+    # as [0, 3]; numpy would read id -1 as the last node
+    with pytest.raises(ValueError, match=message):
+        Target.of(np.array([0, 1, 0, 1, 0]), mask, 2)
 
 
 @pytest.mark.parametrize("mask, all_rows", [
