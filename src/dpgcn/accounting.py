@@ -90,17 +90,20 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
     a = lams.astype(np.int64)[..., None] + 1
     log_fact = np.array([math.lgamma(n + 1.0) for n in range(a.max() + 1)])
     k = np.arange(2, a.max() + 1)
-    x = k * (k - 1) / (2.0 * sigma * sigma)
-    log_terms = (log_fact[a] - log_fact[k] - log_fact[a - k] + k * math.log(q)
-                 + x + np.log(-np.expm1(-x)))
-    if q < 1.0:
-        log_terms += (a - k) * math.log1p(-q)
-    # k > a is outside the row; at q = 1, (1 - q)^(a - k) vanishes for every k < a
-    log_terms[(k > a) | ((k < a) & (q == 1.0))] = -np.inf
-    # capped at the largest float: a +inf term (tiny sigma) gives alpha = +inf,
-    # where shifting by it would give inf - inf = nan
-    top = np.minimum(log_terms.max(axis=-1, keepdims=True), np.finfo(np.float64).max)
-    return np.logaddexp(0.0, top[..., 0] + np.log(np.exp(log_terms - top).sum(axis=-1)))
+    # at extreme sigma, x (tiny sigma) or 2 sigma^2 (huge sigma) overflows to inf
+    with np.errstate(divide="ignore", over="ignore"):
+        x = k * (k - 1) / (2.0 * sigma * sigma)
+        log_terms = (log_fact[a] - log_fact[k] - log_fact[a - k] + k * math.log(q)
+                     + x + np.log(-np.expm1(-x)))
+        if q < 1.0:
+            log_terms += (a - k) * math.log1p(-q)
+        # k > a is outside the row; at q = 1, (1 - q)^(a - k) vanishes for every k < a
+        log_terms[(k > a) | ((k < a) & (q == 1.0))] = -np.inf
+        # the shift is kept finite, as +-inf would give inf - inf = nan: a +inf
+        # term gives alpha = +inf, and a row of -inf terms alpha = log1p(0) = 0
+        big = np.finfo(np.float64).max
+        top = np.maximum(np.minimum(log_terms.max(axis=-1, keepdims=True), big), -big)
+        return np.logaddexp(0.0, top[..., 0] + np.log(np.exp(log_terms - top).sum(-1)))
 
 
 def log_moment(q: float, sigma: float, lam):
@@ -116,8 +119,10 @@ def log_moment(q: float, sigma: float, lam):
 def compose(ledger: AccountantLedger) -> np.ndarray:
     """Total log moment per order: sum over records of steps * alpha."""
     totals = np.zeros(len(ledger.moment_orders))
-    for rec in ledger.records:
-        totals += rec.steps * log_moment(rec.q, rec.sigma, ledger.moment_orders)
+    # at tiny sigma alpha or steps * alpha overflows to the right +inf
+    with np.errstate(divide="ignore", over="ignore"):
+        for rec in ledger.records:
+            totals += rec.steps * log_moment(rec.q, rec.sigma, ledger.moment_orders)
     return totals
 
 

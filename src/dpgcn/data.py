@@ -12,12 +12,15 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import build_graph
 from .rng import STREAM_SYNTH, Prng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _MASK_IDS = {"train": 0, "val": 1, "test": 2}
 

@@ -2,30 +2,46 @@
 
 A split of the training nodes is a list of s disjoint, sorted int64 arrays
 of global node ids; mask_subgraph turns one group into its induced subgraph.
+scipy is imported when the first CSR matrix is built, not with the package,
+so a process that only uses the accountant never loads it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import Prng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def _sparse():
+    """scipy.sparse, imported by the first graph build."""
+    import scipy.sparse
+    return scipy.sparse
 
 
 def build_graph(num_nodes: int, edges) -> sp.csr_matrix:
     """Symmetric 0/1 CSR adjacency from an (i, j) edge list.
 
     Each edge is stored in both orientations; repeats are merged, self-loops
-    dropped, and column indices sorted within each row.
+    dropped, and column indices sorted within each row. Endpoints must be
+    integers: any other dtype, bool and float included, is a ValueError.
     """
     if num_nodes < 0:
         raise ValueError("negative node count")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges)
+    if edges.size and edges.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, not {edges.dtype}")
+    edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge index out of range")
     i, j = edges[edges[:, 0] != edges[:, 1]].T
-    graph = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])),
-                          shape=(num_nodes, num_nodes))
+    graph = _sparse().csr_matrix(
+        (np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(num_nodes, num_nodes))
     graph.data[:] = 1.0  # the COO conversion summed repeated edges
     return graph
 
@@ -44,8 +60,8 @@ def normalize_adjacency(graph: sp.csr_matrix) -> sp.csr_matrix:
         np.arange(n) * (n + 1)]))
     rows, cols = np.divmod(keys, n)
     inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
-    return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols,
-                          graph.indptr + np.arange(n + 1)), shape=(n, n))
+    return _sparse().csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols,
+                                 graph.indptr + np.arange(n + 1)), shape=(n, n))
 
 
 def spmm(adj: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:

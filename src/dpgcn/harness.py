@@ -19,10 +19,9 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 
 from . import __version__
 from . import rng as streams
@@ -36,6 +35,9 @@ from .model import (GcnParams, Metrics, Target, backward, evaluate, forward,
                     init_params, macro_f1, masked_cross_entropy,
                     masked_log_probs)
 from .rng import Prng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _OPTIMIZERS = ("sgd", "adam", "sgd-dp", "adam-dp")
 
@@ -476,6 +478,7 @@ def run_experiment(config: ExperimentConfig,
                        default=None),
         "seeds_failed": sum(o.failed for o in outcomes),
     }
+    import scipy  # loaded by the graph build, so this costs no import time
     metadata = {
         "sigma": sigma,
         "test_metric_at": "best_val" if cfg.early_stopping else "final_epoch",

@@ -12,12 +12,15 @@ the required ``log_probs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import node_ids, spmm
 from .rng import Prng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GcnParams:

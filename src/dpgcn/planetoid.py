@@ -32,7 +32,6 @@ import pickle
 from collections.abc import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset, DatasetError, _read_rows
 from .graph import build_graph
@@ -77,6 +76,8 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
     val_count is the size of the fixed validation window starting right
     after the originally-labeled block; the upstream datasets use 500.
     """
+    import scipy.sparse as sp  # here, so that importing dpgcn loads no scipy
+
     paths = [os.path.join(raw_dir, f"ind.{name}.{part}")
              for part in (*_PARTS, "test.index")]
     for path in paths:  # all eight files, before unpickling any

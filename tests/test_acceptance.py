@@ -65,6 +65,43 @@ def test_criterion_01_accountant_golden_table():
     assert time.perf_counter() - start < 1.0
 
 
+def exact_full_batch_epsilon(records, delta):
+    """Exact epsilon of full-batch Gaussian steps, from (sigma, steps) pairs.
+
+    Each step is the Gaussian mechanism with sensitivity C and noise sigma C,
+    so the steps compose exactly to one with mu = sqrt(sum steps / sigma^2),
+    whose curve is delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2)
+    (Balle & Wang 2018). delta(eps) falls in eps and is at most delta at
+    mu (mu/2 + z), z the upper delta quantile, which brackets the root.
+    Phi is scipy.special.ndtr, the function scipy.stats.norm.cdf evaluates,
+    without the second of import time that scipy.stats costs.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import log_ndtr, ndtr, ndtri
+    mu = math.sqrt(sum(steps / sigma**2 for sigma, steps in records))
+
+    def excess(eps):
+        return (ndtr(-eps / mu + mu / 2)
+                - math.exp(eps + log_ndtr(-eps / mu - mu / 2)) - delta)
+
+    return brentq(excess, 0.0, mu * (mu / 2 - ndtri(delta)), xtol=1e-12)
+
+
+def test_full_batch_epsilon_within_1_5x_of_the_exact_value():
+    # the moments accountant is an upper bound: at q = 1 it must sit at or
+    # above the exact composed Gaussian epsilon, and not far above it
+    ledgers = [[(sigma, steps)] for sigma, steps, _ in GOLDEN_TABLE]
+    ledgers += [[(calibrate_noise(eps, DELTA, 1.0, 500), 500)] for eps in (1.0, 2.0)]
+    ledgers.append([(8.0, 300), (20.0, 700), (50.0, 1000)])
+    for records in ledgers:
+        ledger = AccountantLedger()
+        for sigma, steps in records:
+            ledger.append(1.0, sigma, steps)
+        reported, _ = privacy_spent(ledger, DELTA)
+        exact = exact_full_batch_epsilon(records, DELTA)
+        assert exact <= reported <= 1.5 * exact, (records, reported, exact)
+
+
 # --- criterion 2: analytic gradients vs central finite differences -------
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import dpgcn.cli
 from dpgcn.cli import main
@@ -241,7 +242,7 @@ def test_account_rejects_non_finite_sigma(capsys, sigma):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
 def test_account_tiny_sigma_prints_infinite_epsilon(capsys, sigma):
     assert main(["account", "--q", "0.1", "--sigma", sigma,
@@ -343,14 +344,31 @@ def test_missing_required_argument_exits_2():
     assert exc.value.code == 2
 
 
-def test_python_m_runs_the_cli():
+def _python_m_cli(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "dpgcn.cli", "run"],
+    return subprocess.run([sys.executable, "-m", "dpgcn.cli", *argv],
                           env=env, capture_output=True, text=True)
+
+
+def test_python_m_runs_the_cli():
+    proc = _python_m_cli("run")
     assert proc.returncode == 2
     assert "--config" in proc.stderr
+
+
+def test_fresh_process_run_records_the_scipy_version(synth_dir, tmp_path):
+    # importing dpgcn loads no scipy; the graph build does, before the
+    # version is read
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset = {synth_dir}\nkind = A\noptimizer = adam\n"
+                      "max_epochs = 2\nseeds = 0\n")
+    out = tmp_path / "results"
+    proc = _python_m_cli("run", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    versions = json.loads((out / "results.json").read_text())["metadata"]["versions"]
+    assert versions["scipy"] == scipy.__version__
 
 
 def test_console_entry_point_is_wired(tmp_path):

@@ -71,10 +71,25 @@ def test_build_drops_self_loops():
 def test_build_errors():
     with pytest.raises(ValueError):
         build_graph(-1, [])
-    with pytest.raises(ValueError):
-        build_graph(2, [(0, 2)])
-    with pytest.raises(ValueError):
-        build_graph(2, [(-1, 0)])
+    for edges in ([(0, 2)], [(-1, 0)], np.array([[0, 2**64 - 1]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^edge index out of range$"):
+            build_graph(2, edges)
+    # endpoints are not cast: (0.9, 1.7) is no edge 0-1
+    for edges in ([(0.9, 1.7)], [(0.0, 1.0)], [(0, 1), (1, 1.5)],
+                  np.array([[True, False]])):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            build_graph(2, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2)], np.array([[0, 1], [1, 2]]),
+    np.array([[0, 1], [1, 2]], dtype=np.int32),
+    np.array([[0, 1], [1, 2]], dtype=np.uint8),
+], ids=["list", "int64", "int32", "uint8"])
+def test_build_accepts_integer_endpoints(edges):
+    g = build_graph(3, edges)
+    assert np.array_equal(g.indptr, [0, 1, 3, 4])
+    assert np.array_equal(g.indices, [1, 0, 2, 1])
 
 
 def test_build_sorted_rows():
