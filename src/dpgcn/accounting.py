@@ -63,7 +63,10 @@ def gaussian_log_moment(sigma: float, lam: float) -> float:
     """Closed-form log moment at q = 1: lam (lam + 1) / (2 sigma^2)."""
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    return lam * (lam + 1.0) / (2.0 * sigma * sigma)
+    denom = 2.0 * sigma * sigma
+    if denom == 0.0:  # sigma below about 1e-162: +inf at every order lam >= 1
+        return lam * math.inf
+    return lam * (lam + 1.0) / denom
 
 
 @lru_cache(maxsize=100000)

@@ -34,7 +34,7 @@ from .graph import mask_subgraph, normalize_adjacency, random_partition, spmm
 from .model import (GcnParams, Metrics, Target, backward, evaluate, forward,
                     init_params, macro_f1, masked_cross_entropy,
                     masked_log_probs)
-from .rng import Prng
+from .rng import Prng, ReadAheadNormals
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -283,7 +283,6 @@ class _Trainer:
                  sigma: float | None):
         self.ds, self.cfg, self.seed = dataset, cfg, seed
         self.rng_drop = Prng(seed, streams.STREAM_DROPOUT)
-        self.rng_noise = Prng(seed, streams.STREAM_NOISE)
         self.rng_lot = Prng(seed, streams.STREAM_LOT)
         nodes = dataset.train_nodes
         if cfg.train_fraction < 1.0:
@@ -308,6 +307,26 @@ class _Trainer:
             if cfg.kind == "C" else [self.full]
         self.test = Target.of(dataset.labels, dataset.test_nodes,
                               dataset.num_classes)
+        # last, so that nothing after it can raise and leave its worker running
+        self.rng_noise = self._noise_stream()
+
+    def _noise_stream(self) -> Prng:
+        """The noise stream, drawn one epoch ahead on a worker thread where
+        that pays: an epoch of at least 2^14 draws (smaller ones lose more
+        to GIL hand-offs than they gain), at most 2^21 (each of the two
+        buffers holds an epoch, 16 MB at most), and a CPU that BLAS leaves
+        idle (else the worker slows BLAS). Either way the bits are the same."""
+        cfg, dim = self.cfg, self.params.flat.size
+        if cfg.is_dp and 2 ** 14 <= cfg.steps_per_epoch * dim <= 2 ** 21 \
+                and _idle_core():
+            return ReadAheadNormals(self.seed, streams.STREAM_NOISE, dim,
+                                    cfg.steps_per_epoch, cfg.max_epochs)
+        return Prng(self.seed, streams.STREAM_NOISE)
+
+    def close(self) -> None:
+        """Stop the noise stream's worker thread, if it has one."""
+        if isinstance(self.rng_noise, ReadAheadNormals):
+            self.rng_noise.close()
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
         ex = self.examples[k]
@@ -334,14 +353,18 @@ class _Trainer:
         if not cfg.is_dp:
             for k in self.rng_lot.permutation(n):
                 self._step(self._gradient(int(k), epoch))
-            return
-        for _ in range(cfg.steps_per_epoch):
-            lot = sample_lot(n, cfg.lot_size, self.rng_lot)
-            grads = [self._gradient(int(k), epoch) for k in lot]
-            grad = noisy_lot_gradient(grads, self.noise, self.rng_noise)
-            # the q resolve_sigma calibrates with
-            self.ledger.append(cfg.lot_size / cfg.s, self.noise.noise_multiplier)
-            self._step(grad)
+        else:
+            for _ in range(cfg.steps_per_epoch):
+                lot = sample_lot(n, cfg.lot_size, self.rng_lot)
+                grads = [self._gradient(int(k), epoch) for k in lot]
+                grad = noisy_lot_gradient(grads, self.noise, self.rng_noise)
+                # the q resolve_sigma calibrates with
+                self.ledger.append(cfg.lot_size / cfg.s, self.noise.noise_multiplier)
+                self._step(grad)
+        if self.adam is not None:
+            # v >= 0, so its max is finite only if every entry is: an
+            # infinite v zeroes every update, and the weights stop moving
+            _require_finite(float(self.adam.v.max()), "optimizer state", epoch)
 
     def metrics(self, params: GcnParams, target: Target) -> Metrics:
         """params scored on the target's nodes of the full graph."""
@@ -363,15 +386,18 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
     trainer = _Trainer(dataset, cfg, seed, sigma)
     history: list[float] = []
     best_params = None
-    for epoch in range(1, cfg.max_epochs + 1):  # max_epochs >= 1: epoch is bound
-        trainer.run_epoch(epoch)
-        if cfg.early_stopping:
-            history.append(trainer.val_score())
-            stop, best = early_stop_check(history, cfg.patience)
-            if best == len(history):
-                best_params = trainer.params.copy()
-            if stop:
-                break
+    try:
+        for epoch in range(1, cfg.max_epochs + 1):  # max_epochs >= 1: epoch is bound
+            trainer.run_epoch(epoch)
+            if cfg.early_stopping:
+                history.append(trainer.val_score())
+                stop, best = early_stop_check(history, cfg.patience)
+                if best == len(history):
+                    best_params = trainer.params.copy()
+                if stop:
+                    break
+    finally:
+        trainer.close()
     eval_params = trainer.params if best_params is None else best_params
     metrics = trainer.metrics(eval_params, trainer.test)
     outcome = SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
@@ -416,6 +442,17 @@ def _openblas():
     except (IndexError, OSError, AttributeError):
         return None
     return lib
+
+
+def _idle_core() -> bool:
+    """Whether this process may run on more CPUs than BLAS has threads
+    (False where either count cannot be read)."""
+    lib = _openblas()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return False
+    return lib is not None and cpus > lib.scipy_openblas_get_num_threads64_()
 
 
 def host_fingerprint() -> dict:

@@ -193,10 +193,12 @@ def test_closed_form_monotone_and_amplified(q, sigma, lam, q_factor,
 
 def test_import_loads_no_quadrature_or_special_functions():
     # scipy adds import time and memory to every process, and the accountant
-    # needs none of it: the graph build imports scipy.sparse when it runs
+    # needs none of it: the graph build imports scipy.sparse when it runs.
+    # concurrent.futures costs about 9 ms; only a run that reads its noise
+    # ahead imports it
     code = ("import sys, dpgcn, dpgcn.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'concurrent')))")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -329,6 +331,18 @@ def test_eps_delta_validation():
         eps_from_delta(ledger(1.0, 4.0, 10), 0.0)
     with pytest.raises(ValueError):
         eps_from_delta(ledger(1.0, 4.0, 10), 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e-200, 1e-163])
+def test_closed_form_infinite_where_two_sigma_squared_underflows(sigma):
+    # 2 sigma^2 is 0.0 here; a Python float order divided by it raised
+    # ZeroDivisionError, where log_moment's numpy orders gave +inf
+    assert 2.0 * sigma * sigma == 0.0
+    assert gaussian_log_moment(sigma, 3.0) == math.inf
+    assert gaussian_log_moment(sigma, 1) == math.inf
+    assert list(gaussian_log_moment(sigma, np.arange(1, 4))) == [math.inf] * 3
+    assert gaussian_log_moment(sigma, 3.0) == log_moment(1.0, sigma, 3.0)
 
 
 @pytest.mark.filterwarnings("error")  # extreme sigma warns of nothing

@@ -1,11 +1,13 @@
 import csv
+import ctypes
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -748,3 +750,142 @@ def test_run_metadata_records_the_fingerprint(sbm):
     assert fingerprint["numpy_simd"] == [
         t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     assert json.loads(json.dumps(meta)) == meta
+
+
+# ---- noise drawn one epoch ahead ----
+
+@pytest.fixture(scope="module")
+def wide():
+    # feature_dim 256 at hidden 64: 16,576 parameters, a read-ahead epoch
+    return generate_synthetic(
+        SynthSpec((40, 40, 40), 0.15, 0.02, feature_dim=256, feature_shift=2.0,
+                  seed=3))
+
+
+WIDE_RUNS = {
+    "B": dict(kind="B", optimizer="adam-dp", sigma=2.0, hidden=64,
+              max_epochs=4, seeds=(0, 1)),
+    "C": dict(kind="C", optimizer="sgd-dp", s=8, lot_size=2, sigma=2.0,
+              lr=0.5, hidden=64, max_epochs=3, seeds=(2,)),
+}
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS at one thread for the test, the count restored after."""
+    lib = harness_mod._openblas()
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if setter is None:
+        yield
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    before = lib.scipy_openblas_get_num_threads64_()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+@pytest.fixture
+def streams_built(monkeypatch):
+    """Forces an idle core and lists each noise stream built: "ahead" for a
+    ReadAheadNormals, "plain" for a Prng."""
+    built, alive = [], []
+
+    class Recorded(harness_mod.ReadAheadNormals):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append("ahead")
+            # held, so a stream nobody closed keeps its worker thread
+            alive.append(self)
+
+    real_prng = harness_mod.Prng
+
+    def prng(seed, stream=0):
+        if stream == streams.STREAM_NOISE:
+            built.append("plain")
+        return real_prng(seed, stream)
+
+    monkeypatch.setattr(harness_mod, "_idle_core", lambda: True)
+    monkeypatch.setattr(harness_mod, "ReadAheadNormals", Recorded)
+    monkeypatch.setattr(harness_mod, "Prng", prng)
+    return built
+
+
+def without_seconds(record) -> dict:
+    out = asdict(record)
+    for seed in out["seeds"]:
+        seed.pop("seconds")
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_RUNS))
+def test_read_ahead_noise_trains_the_same_bits(wide, one_blas_thread,
+                                               streams_built, monkeypatch, kind):
+    cfg = ExperimentConfig(**WIDE_RUNS[kind])
+    ahead = without_seconds(run_experiment(cfg, dataset=wide))
+    monkeypatch.setattr(harness_mod, "_idle_core", lambda: False)
+    plain = without_seconds(run_experiment(cfg, dataset=wide))
+    seeds = len(cfg.seeds)
+    assert streams_built == ["ahead"] * seeds + ["plain"] * seeds
+    assert ahead == plain
+    assert ahead["aggregate"]["seeds_failed"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_read_ahead_worker_ends_with_every_run(wide, streams_built):
+    before = threading.active_count()
+    run_experiment(ExperimentConfig(**WIDE_RUNS["C"]), dataset=wide)
+    assert threading.active_count() == before
+    # Adam's second moment overflows at the first step, in epoch 1 of 4
+    diverged = run_experiment(ExperimentConfig(**dict(
+        WIDE_RUNS["B"], sigma=1e300, seeds=(0,))), dataset=wide)
+    assert diverged.seeds[0].reason == "non-finite optimizer state at epoch 1"
+    assert threading.active_count() == before
+    assert streams_built == ["ahead"] * 2
+
+
+def test_trainer_reads_noise_ahead_only_where_it_pays(sbm, wide, monkeypatch):
+    def stream(dataset, idle, **kw):
+        monkeypatch.setattr(harness_mod, "_idle_core", lambda: idle)
+        cfg = ExperimentConfig(**dict(WIDE_RUNS["B"], **kw)).finalized()
+        trainer = harness_mod._Trainer(dataset, cfg, seed=0, sigma=cfg.sigma)
+        trainer.close()
+        return type(trainer.rng_noise)
+
+    assert stream(wide, True) is harness_mod.ReadAheadNormals
+    assert stream(wide, False) is Prng  # BLAS uses every CPU
+    # feature_dim 8: 8 * 64 + 64 * 2 = 640 draws an epoch
+    assert stream(sbm, True) is Prng
+    # 4 lots of 530,432 draws: past the 2^21 cap on each buffer
+    assert stream(wide, True, kind="C", s=8, lot_size=2, hidden=2048) is Prng
+
+
+def test_idle_core_needs_both_counts(monkeypatch):
+    if harness_mod._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    threads = harness_mod._openblas().scipy_openblas_get_num_threads64_()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(threads + 1)))
+    assert harness_mod._idle_core()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(threads)))
+    assert not harness_mod._idle_core()
+    monkeypatch.setattr(harness_mod, "_openblas", lambda: None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3})
+    assert not harness_mod._idle_core()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kw", [
+    dict(kind="B"),
+    dict(kind="C", s=6, lot_size=2),
+])
+def test_run_fails_a_seed_whose_optimizer_state_overflows(sbm, kw):
+    # sigma C = 1e300: the squared noise overflows Adam's v to inf, every
+    # update is then 0 and the weights never move from their initial values
+    cfg = ExperimentConfig(optimizer="adam-dp", sigma=1e300, max_epochs=3,
+                           seeds=(0,), **kw)
+    record = run_experiment(cfg, dataset=sbm)
+    assert record.seeds[0].failed
+    assert record.seeds[0].reason == "non-finite optimizer state at epoch 1"
+    assert record.aggregate["seeds_failed"] == 1

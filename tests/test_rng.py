@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from dpgcn.rng import Prng
+from dpgcn.rng import Prng, ReadAheadNormals
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -108,3 +109,106 @@ def test_draws_do_not_depend_on_numpy_simd_dispatch():
                         for child in children)
     assert all(child.returncode == 0 for child in children)
     assert len(default) == 2 and default == reduced, targets
+
+
+def read_ahead(size=50, rows=3, chunks=4, seed=17, stream=3):
+    return ReadAheadNormals(seed, stream, size, rows, chunks)
+
+
+def test_read_ahead_bitwise_equals_prng_across_chunks():
+    # every array is held to the end, so a returned view of a buffer that
+    # a later refill overwrote would differ from the reference
+    stream = read_ahead()
+    try:
+        got = [stream.normal(50, std=0.5 + k) for k in range(12)]
+    finally:
+        stream.close()
+    ref = Prng(17, 3)
+    want = [ref.normal(50, std=0.5 + k) for k in range(12)]
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), k
+    assert len({id(a) for a in got}) == 12
+    assert not any(np.shares_memory(got[0], a) for a in got[1:])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r: r.uniform(),
+    lambda r: r.uniform(50),
+    lambda r: r.permutation(5),
+    lambda r: r.sample_without_replacement(5, 2),
+    lambda r: r.normal(),
+    lambda r: r.normal(49),
+    lambda r: r.normal((50,)),
+], ids=["uniform", "uniform-50", "permutation", "sample", "scalar-normal",
+        "wrong-size", "tuple-size"])
+def test_read_ahead_refuses_every_other_draw(draw):
+    stream = read_ahead()
+    try:
+        first = stream.normal(50)
+        with pytest.raises(ValueError):
+            draw(stream)
+        # a refused draw consumes nothing
+        ref = Prng(17, 3)
+        assert np.array_equal(first, ref.normal(50))
+        assert np.array_equal(stream.normal(50, std=2.0), ref.normal(50, std=2.0))
+    finally:
+        stream.close()
+
+
+def test_read_ahead_refuses_a_draw_past_its_total():
+    stream = read_ahead(rows=2, chunks=3)
+    try:
+        for _ in range(6):
+            stream.normal(50)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exhausted"):
+                stream.normal(50)
+    finally:
+        stream.close()
+
+
+class FailingGenerator:
+    """A Generator stand-in whose fill of the second chunk raises."""
+
+    def __init__(self, gen):
+        self.gen, self.fills = gen, 0
+
+    def standard_normal(self, out):
+        self.fills += 1
+        if self.fills == 2:
+            raise MemoryError("fill failed")
+        return self.gen.standard_normal(out=out)
+
+
+def test_read_ahead_raises_the_worker_error_on_the_caller(monkeypatch):
+    real_init = Prng.__init__
+
+    def init(self, seed, stream=0):
+        real_init(self, seed, stream)
+        self._gen = FailingGenerator(self._gen)
+
+    monkeypatch.setattr(Prng, "__init__", init)
+    stream = read_ahead(rows=2, chunks=3)
+    try:
+        want = Prng(17, 3)._gen.gen
+        assert np.array_equal(stream.normal(50), want.standard_normal(50))
+        assert np.array_equal(stream.normal(50), want.standard_normal(50))
+        # the second chunk was never filled: no call may read its buffer
+        for _ in range(2):
+            with pytest.raises(MemoryError, match="fill failed"):
+                stream.normal(50)
+    finally:
+        stream.close()
+    assert not any(t.name.startswith("dpgcn-noise") for t in threading.enumerate())
+
+
+def test_read_ahead_close_stops_the_worker():
+    before = threading.active_count()
+    stream = read_ahead(chunks=100)
+    stream.normal(50)
+    stream.close()
+    assert threading.active_count() == before
+    # the chunk being read stays readable; the next one is never drawn
+    assert stream.normal(50).shape == stream.normal(50).shape == (50,)
+    with pytest.raises(ValueError, match="exhausted"):
+        stream.normal(50)
