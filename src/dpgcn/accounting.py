@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,11 +37,13 @@ class AccountantLedger:
     moment_orders: tuple[int, ...] = DEFAULT_MOMENT_ORDERS
 
     def __post_init__(self):
-        orders = self.moment_orders
-        if not orders or any(o < 1 or not float(o).is_integer() for o in orders):
-            raise ValueError("moment orders must be nonempty positive integers")
-        if any(b <= a for a, b in zip(orders, orders[1:])):
+        try:
+            grid = _order_grid(self.moment_orders)
+        except ValueError:
+            raise ValueError("moment orders must be nonempty positive integers") from None
+        if not grid.ascending:
             raise ValueError("moment orders must be strictly increasing")
+        self.moment_orders = grid.orders  # hashable: the grid cache's key
 
     def append(self, q: float, sigma: float, steps: int = 1) -> None:
         if not 0.0 < q <= 1.0:
@@ -69,6 +72,41 @@ def gaussian_log_moment(sigma: float, lam: float) -> float:
     return lam * (lam + 1.0) / denom
 
 
+def _order_grid(lam) -> SimpleNamespace:
+    """The cached tables of a scalar, a tuple or an array of orders lam."""
+    if type(lam) is tuple:
+        return _grid_tables(lam, None)
+    lam = np.asarray(lam)
+    return _grid_tables(tuple(lam.ravel().tolist()), lam.shape)
+
+
+@lru_cache(maxsize=32)
+def _grid_tables(orders: tuple, shape: tuple[int, ...] | None) -> SimpleNamespace:
+    """Built once per grid: what the expansion needs of the orders alone, as
+    constants of the grid like a log-factorial table. Row i of each table
+    is a = lam[i] + 1 over k = 2..max(lam)+1; ``outside`` marks k > a."""
+    lams = np.asarray(orders) if shape is None else np.reshape(orders, shape)
+    flat = lams.ravel().tolist()  # in Python: cheaper than a first numpy reduction
+    if min(flat) < 1:
+        raise ValueError("moment order must be at least 1")
+    if any(o % 1 for o in flat):
+        raise ValueError("moment orders must be integers")
+    ints = tuple(map(int, flat))
+    a = lams.astype(np.int64)[..., None] + 1
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(max(ints) + 2)])
+    k = np.arange(2, max(ints) + 2)
+    grid = SimpleNamespace(
+        orders=ints, orders_f=lams.astype(np.float64),
+        ascending=lams.ndim == 1 and all(i < j for i, j in zip(ints, ints[1:])),
+        k=k.astype(np.float64), k_k1=(k * (k - 1)).astype(np.float64),
+        log_binom=log_fact[a] - log_fact[k] - log_fact[a - k],
+        a_minus_k=(a - k).astype(np.float64), outside=k > a)
+    for table in vars(grid).values():
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False  # every later query shares it
+    return grid
+
+
 @lru_cache(maxsize=100000)
 def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
     """Exact log moment at integer order lam (Mironov, Talwar & Zhang 2019).
@@ -78,30 +116,24 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
     alpha = log1p(sum_{k=2..a} C(a,k) (1-q)^(a-k) q^k expm1((k^2-k)/(2 sigma^2))).
     Every term is positive, so the sum is taken in log space with nothing
     to cancel; log expm1(x) = x + log(-expm1(-x)) neither overflows at tiny
-    sigma nor underflows at huge sigma. Uncached, lam may be an array: row i
-    of one table holds the terms k = 2..max(lam)+1, masked to k <= lam[i] + 1.
+    sigma nor underflows at huge sigma. Uncached, lam may be an array, one
+    table row per order (see _grid_tables); each cell sums in a fixed order.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("sampling ratio must be in (0, 1]")
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    lams = np.asarray(lam)
-    if lams.min() < 1:
-        raise ValueError("moment order must be at least 1")
-    if np.any(lams % 1):
-        raise ValueError("moment orders must be integers")
-    a = lams.astype(np.int64)[..., None] + 1
-    log_fact = np.array([math.lgamma(n + 1.0) for n in range(a.max() + 1)])
-    k = np.arange(2, a.max() + 1)
+    grid = _order_grid(lam)
     # at extreme sigma, x (tiny sigma) or 2 sigma^2 (huge sigma) overflows to inf
     with np.errstate(divide="ignore", over="ignore"):
-        x = k * (k - 1) / (2.0 * sigma * sigma)
-        log_terms = (log_fact[a] - log_fact[k] - log_fact[a - k] + k * math.log(q)
-                     + x + np.log(-np.expm1(-x)))
+        x = grid.k_k1 / (2.0 * sigma * sigma)
+        log_terms = grid.log_binom + grid.k * math.log(q)
+        log_terms += x
+        log_terms += np.log(-np.expm1(-x))
         if q < 1.0:
-            log_terms += (a - k) * math.log1p(-q)
+            log_terms += grid.a_minus_k * math.log1p(-q)
         # k > a is outside the row; at q = 1, (1 - q)^(a - k) vanishes for every k < a
-        log_terms[(k > a) | ((k < a) & (q == 1.0))] = -np.inf
+        log_terms[grid.outside if q < 1.0 else grid.a_minus_k != 0.0] = -np.inf
         # the shift is kept finite, as +-inf would give inf - inf = nan: a +inf
         # term gives alpha = +inf, and a row of -inf terms alpha = log1p(0) = 0
         big = np.finfo(np.float64).max
@@ -111,10 +143,10 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
 
 def log_moment(q: float, sigma: float, lam):
     """Per-step log moment at order lam, or at each order of an array lam."""
-    lam = np.asarray(lam)
-    if lam.min() < 1:
-        raise ValueError("moment order must be at least 1")
-    if q == 1.0:
+    if q == 1.0:  # any real order lam >= 1; below q = 1 the grid checks lam
+        lam = np.asarray(lam)
+        if lam.min() < 1:
+            raise ValueError("moment order must be at least 1")
         return gaussian_log_moment(sigma, lam)
     return subsampled_log_moment.__wrapped__(q, sigma, lam)
 
@@ -136,8 +168,7 @@ def privacy_spent(ledger: AccountantLedger, delta: float) -> tuple[float, int]:
     if not ledger.records:
         return 0.0, ledger.moment_orders[0]
     totals = compose(ledger)
-    orders = np.asarray(ledger.moment_orders, dtype=np.float64)
-    eps = (totals - math.log(delta)) / orders
+    eps = (totals - math.log(delta)) / _order_grid(ledger.moment_orders).orders_f
     i = int(np.argmin(eps))
     return float(eps[i]), int(ledger.moment_orders[i])
 
@@ -150,8 +181,8 @@ def delta_from_eps(ledger: AccountantLedger, epsilon: float) -> float:
     """Tightest tail-bound delta at the given epsilon, capped at 1."""
     if not 0 <= epsilon < math.inf:  # at inf, an infinite log moment gives nan
         raise ValueError("epsilon must be nonnegative and finite")
-    orders = np.asarray(ledger.moment_orders, dtype=np.float64)
     totals = compose(ledger)
+    orders = _order_grid(ledger.moment_orders).orders_f
     exponent = float((totals - orders * epsilon).min())
     if exponent >= 0.0:
         return 1.0

@@ -400,6 +400,8 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
         trainer.close()
     eval_params = trainer.params if best_params is None else best_params
     metrics = trainer.metrics(eval_params, trainer.test)
+    if not metrics.finite:  # weights too large for the forward pass
+        raise TrainingDiverged(f"non-finite logits at epoch {epoch}")
     outcome = SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
                           f1_macro=macro_f1(metrics.confusion),
                           epochs=epoch,
@@ -494,8 +496,9 @@ def run_experiment(config: ExperimentConfig,
     sigma = resolve_sigma(cfg)
     outcomes = []
     for seed in cfg.seeds:
-        try:
-            outcomes.append(_train_single_seed(dataset, cfg, seed, sigma))
+        try:  # a diverging seed fails with a reason; numpy need not warn too
+            with np.errstate(all="ignore"):
+                outcomes.append(_train_single_seed(dataset, cfg, seed, sigma))
         except TrainingDiverged as exc:
             outcomes.append(SeedOutcome(seed=seed, failed=True, reason=str(exc)))
     good = [o for o in outcomes if not o.failed]

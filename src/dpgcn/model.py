@@ -55,6 +55,7 @@ class Metrics:
     micro_f1: float
     confusion: np.ndarray  # (K, K), rows = true class, cols = predicted
     errors: np.ndarray     # global ids of misclassified masked nodes
+    finite: bool           # every scored logit is finite
 
 
 def init_params(feature_dim: int, hidden: int, num_classes: int,
@@ -192,12 +193,13 @@ def evaluate(params: GcnParams, adj: sp.csr_matrix, target: Target, *,
     k = target.num_classes
     if params.w1.shape[1] != k:
         raise ValueError("params do not match the target's classes")
-    trace = forward(params, adj, ax=ax)
-    pred = _target_rows(trace.logits, target).argmax(axis=1)  # ties: lowest index
+    logits = _target_rows(forward(params, adj, ax=ax).logits, target)
+    pred = logits.argmax(axis=1)  # ties: lowest index
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (target.labels, pred), 1)
     hits = pred == target.labels
-    return Metrics(float(hits.mean()), confusion, target.ids[~hits])
+    return Metrics(float(hits.mean()), confusion, target.ids[~hits],
+                   bool(np.isfinite(logits).all()))
 
 
 def macro_f1(confusion: np.ndarray) -> float:

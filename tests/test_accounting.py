@@ -234,6 +234,43 @@ def test_ledger_validation():
     assert AccountantLedger(moment_orders=(1.0, 2.0)).moment_orders == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("orders", [
+    [2, 4, 8], (2, 4, 8), np.array([2, 4, 8]), np.array([2.0, 4.0, 8.0]),
+    (np.int64(2), np.int32(4), np.uint8(8)), (2.0, 4, 8),
+])
+def test_ledger_grid_forms_give_the_same_bits(orders):
+    led = ledger(0.1, 1.3, 500, orders)
+    assert led.moment_orders == (2, 4, 8)
+    assert all(type(o) is int for o in led.moment_orders)
+    want = privacy_spent(ledger(0.1, 1.3, 500, (2, 4, 8)), 1e-5)
+    got = privacy_spent(led, 1e-5)
+    assert got[0].hex() == want[0].hex() and got[1] == want[1]
+    assert type(got[1]) is int
+    with pytest.raises(ValueError, match="read-only"):  # shared by every query
+        accounting._order_grid(led.moment_orders).log_binom[0, 0] = 0.0
+
+
+def test_ledger_grid_errors_keep_their_messages():
+    for bad in ((), [], np.array([], dtype=np.int64), (0, 1), (1.5, 2.5),
+                np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="nonempty positive integers"):
+            AccountantLedger(moment_orders=bad)
+    for bad in ((3, 2), (2, 2), np.array([4, 8, 6]), np.array([[1, 2], [3, 4]])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AccountantLedger(moment_orders=bad)
+
+
+def test_log_moment_keeps_every_order_shape():
+    table = np.arange(1, 13).reshape(3, 4)
+    got = log_moment(0.1, 1.3, table)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, log_moment(0.1, 1.3, np.arange(1, 13)).reshape(3, 4))
+    assert np.array_equal(got, log_moment(0.1, 1.3, table.tolist()))
+    assert np.array_equal(got, log_moment(0.1, 1.3, tuple(map(tuple, table))))
+    assert np.ndim(log_moment(0.1, 1.3, 5)) == 0
+    assert log_moment(0.1, 1.3, 5) == pytest.approx(got[1, 0], rel=1e-13)
+
+
 def test_ledger_coalesces_repeats():
     led = AccountantLedger()
     for _ in range(5):
@@ -301,6 +338,82 @@ GOLDEN = [
 def test_eps_golden_table(sigma, steps, want):
     eps = eps_from_delta(ledger(1.0, sigma, steps), 1e-5)
     assert eps == pytest.approx(want, abs=0.01)
+
+
+# float.hex of privacy_spent's (epsilon, order) at delta 1e-5, frozen before
+# the order-grid tables were cached: each row is a grid, q and sigma, then
+# one (epsilon, order) pair per steps in GOLDEN_STEPS. D is the default
+# grid; S shares its largest order and W its smallest, so that a table
+# cached under the wrong key reads another grid's rows
+GOLDEN_GRIDS = {"D": DEFAULT_MOMENT_ORDERS, "S": (2, 5, 64),
+                "W": tuple(range(1, 257))}
+GOLDEN_STEPS = (1, 500, 10**6)
+GOLDEN_BITS = """
+D 1e-06 1e-300 inf 1 inf 1 inf 1
+S 1e-06 1e-300 inf 2 inf 2 inf 2
+W 1e-06 1e-300 inf 1 inf 1 inf 1
+D 1e-06 0.8 0x1.5abe85fb350f5p-1 17 0x1.5bbecb2a1976bp-1 17 0x1.706facff13865p-1 16
+S 1e-06 0.8 0x1.26bb1bbb5b897p+1 5 0x1.26bb1bc77ae5cp+1 5 0x1.26bb7aa0ec80bp+1 5
+W 1e-06 0.8 0x1.5abe85fb350f5p-1 17 0x1.5bbecb2a1976bp-1 17 0x1.706facff13865p-1 16
+D 1e-06 34.7 0x1.7069e2aa2ae28p-3 64 0x1.7069e2aaa167ep-3 64 0x1.7069e649f7980p-3 64
+S 1e-06 34.7 0x1.7069e2aa2ae28p-3 64 0x1.7069e2aaa167ep-3 64 0x1.7069e649f7980p-3 64
+W 1e-06 34.7 0x1.7069e2aa2e675p-5 256 0x1.7069e2b180dbcp-5 256 0x1.706a1bfbb11c1p-5 256
+D 1e-06 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+S 1e-06 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+W 1e-06 1e+300 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256
+D 0.1 1e-300 inf 1 inf 1 inf 1
+S 0.1 1e-300 inf 2 inf 2 inf 2
+W 0.1 1e-300 inf 1 inf 1 inf 1
+D 0.1 0.8 0x1.f7af0c01259a2p+1 4 0x1.e0512fd15272ep+4 1 0x1.21429ba37e53fp+15 1
+S 0.1 0.8 0x1.0ed1627a63d58p+2 5 0x1.aa492e002bca4p+5 2 0x1.73584ba86fb78p+16 2
+W 0.1 0.8 0x1.f7af0c01259a2p+1 4 0x1.e0512fd15272ep+4 1 0x1.21429ba37e53fp+15 1
+D 0.1 34.7 0x1.70f82089b9037p-3 64 0x1.431d5da61cdd8p-2 64 0x1.23855bacab4d9p+4 2
+S 0.1 34.7 0x1.70f82089b9037p-3 64 0x1.431d5da61cdd8p-2 64 0x1.23855bacab4d9p+4 2
+W 0.1 34.7 0x1.7954aa753b740p-5 256 0x1.3fb697249543cp-2 74 0x1.23855bacab4d9p+4 2
+D 0.1 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+S 0.1 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+W 0.1 1e+300 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256
+D 0.5 1e-300 inf 1 inf 1 inf 1
+S 0.5 1e-300 inf 2 inf 2 inf 2
+W 0.5 1e-300 inf 1 inf 1 inf 1
+D 0.5 0.8 0x1.7ae964349ec9fp+2 4 0x1.578c4a1133ea6p+8 1 0x1.44423583ddefep+19 1
+S 0.5 0.8 0x1.8a29b5fba30e0p+2 5 0x1.5c5ddc4af847cp+9 2 0x1.5164766cfac55p+20 2
+W 0.5 0.8 0x1.7ae964349ec9fp+2 4 0x1.578c4a1133ea6p+8 1 0x1.44423583ddefep+19 1
+D 0.5 34.7 0x1.7e6bb4e3ade89p-3 64 0x1.99c84382c055ep+0 15 0x1.b6681361a3c27p+7 1
+S 0.5 34.7 0x1.7e6bb4e3ade89p-3 64 0x1.4ea3fdab57896p+1 5 0x1.3d5b501dcd533p+8 2
+W 0.5 34.7 0x1.2ba16b566aeacp-4 256 0x1.99c84382c055ep+0 15 0x1.b6681361a3c27p+7 1
+D 0.5 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+S 0.5 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+W 0.5 1e+300 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256
+D 1.0 1e-300 inf 1 inf 1 inf 1
+S 1.0 1e-300 inf 2 inf 2 inf 2
+W 1.0 1e-300 inf 1 inf 1 inf 1
+D 1.0 0.8 0x1.b234f1551552cp+2 4 0x1.8c61a78aa8aa8p+9 1 0x1.7d78f834f1550p+20 1
+S 1.0 0.8 0x1.bf5d8dddaaa8ap+2 5 0x1.266869e2aa2a9p+10 2 0x1.1e1a5e0d3c553p+21 2
+W 1.0 0.8 0x1.b234f1551552cp+2 4 0x1.8c61a78aa8aa8p+9 1 0x1.7d78f834f1550p+20 1
+D 1.0 34.7 0x1.a7b11eb520f22p-3 64 0x1.a7217955f30e9p+1 7 0x1.a502001f77ca2p+9 1
+S 1.0 34.7 0x1.a7b11eb520f22p-3 64 0x1.c62ffa29b9555p+1 5 0x1.38e0ac5245825p+10 2
+W 1.0 34.7 0x1.1c0fbdf4fa076p-3 167 0x1.a7217955f30e9p+1 7 0x1.a502001f77ca2p+9 1
+D 1.0 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+S 1.0 1e+300 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64 0x1.7069e2aa2aa5bp-3 64
+W 1.0 1e+300 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256 0x1.7069e2aa2aa5bp-5 256
+"""
+
+
+@pytest.mark.filterwarnings("error")
+def test_privacy_spent_bitwise_golden():
+    for row in GOLDEN_BITS.split("\n")[1:-1]:  # the grids interleave
+        grid, q, sigma, *cells = row.split()
+        for steps, eps, order in zip(GOLDEN_STEPS, cells[::2], cells[1::2]):
+            got, lam = privacy_spent(ledger(float(q), float(sigma), steps,
+                                            GOLDEN_GRIDS[grid]), 1e-5)
+            assert (got.hex(), lam) == (eps, int(order)), row
+
+
+def test_calibrate_noise_bitwise_golden():
+    assert calibrate_noise(1.0, 1e-5, 0.1, 5000).hex() == "0x1.159999999999ap+5"
+    assert calibrate_noise(2.0, 1e-5, 0.01, 10**5,
+                           (2, 5, 64)).hex() == "0x1.ad1eb851eb852p+3"
 
 
 def test_eps_exact_frozen_values():

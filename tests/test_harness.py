@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -889,3 +890,29 @@ def test_run_fails_a_seed_whose_optimizer_state_overflows(sbm, kw):
     assert record.seeds[0].failed
     assert record.seeds[0].reason == "non-finite optimizer state at epoch 1"
     assert record.aggregate["seeds_failed"] == 1
+
+
+def test_run_fails_a_seed_whose_logits_overflow(sbm):
+    # one sgd step at sigma C = 1e300 leaves finite weights of about 3e298,
+    # too large for the forward pass: every test logit is non-finite
+    cfg = ExperimentConfig(kind="B", optimizer="sgd-dp", sigma=1e300,
+                           max_epochs=1, seeds=(0,))
+    record = run_experiment(cfg, dataset=sbm)
+    assert record.seeds[0].failed and record.seeds[0].f1_micro is None
+    assert record.seeds[0].reason == "non-finite logits at epoch 1"
+
+
+@pytest.mark.parametrize("optimizer,epochs,reason", [
+    ("adam-dp", 3, "non-finite optimizer state at epoch 1"),
+    ("sgd-dp", 3, "non-finite loss at epoch 2"),
+    ("sgd-dp", 1, "non-finite logits at epoch 1"),
+])
+def test_diverging_seeds_warn_of_nothing(sbm, optimizer, epochs, reason):
+    before = np.geterr()
+    cfg = ExperimentConfig(kind="B", optimizer=optimizer, sigma=1e300,
+                           max_epochs=epochs, seeds=(0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run_experiment(cfg, dataset=sbm)
+    assert [(o.failed, o.reason) for o in record.seeds] == [(True, reason)] * 2
+    assert np.geterr() == before  # the process-wide setting is untouched
