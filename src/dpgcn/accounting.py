@@ -138,7 +138,9 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
         # term gives alpha = +inf, and a row of -inf terms alpha = log1p(0) = 0
         big = np.finfo(np.float64).max
         top = np.maximum(np.minimum(log_terms.max(axis=-1, keepdims=True), big), -big)
-        return np.logaddexp(0.0, top[..., 0] + np.log(np.exp(log_terms - top).sum(-1)))
+        d = log_terms - top  # exp is 0 below -746, and numpy's exp is slow there
+        terms = np.exp(d, out=np.zeros_like(d), where=d > -746.0)
+        return np.logaddexp(0.0, top[..., 0] + np.log(terms.sum(-1)))
 
 
 def log_moment(q: float, sigma: float, lam):

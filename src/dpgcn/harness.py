@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
@@ -436,14 +437,30 @@ def _openblas():
                                    "libscipy_openblas64_*.so"))
     try:
         lib = ctypes.CDLL(found[0])
-        for name, restype in (("corename", ctypes.c_char_p),
-                              ("config", ctypes.c_char_p),
-                              ("num_threads", ctypes.c_int)):
-            fn = getattr(lib, f"scipy_openblas_get_{name}64_")
-            fn.argtypes, fn.restype = [], restype
+        for name, argtypes, restype in (("get_corename", [], ctypes.c_char_p),
+                                        ("get_config", [], ctypes.c_char_p),
+                                        ("get_num_threads", [], ctypes.c_int),
+                                        ("set_num_threads", [ctypes.c_int], None)):
+            fn = getattr(lib, f"scipy_openblas_{name}64_")
+            fn.argtypes, fn.restype = argtypes, restype
     except (IndexError, OSError, AttributeError):
         return None
     return lib
+
+
+@contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS at one thread in the block, the caller's count after."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _idle_core() -> bool:
@@ -495,12 +512,14 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigError(f"s={cfg.s} exceeds the {usable} usable training nodes")
     sigma = resolve_sigma(cfg)
     outcomes = []
-    for seed in cfg.seeds:
-        try:  # a diverging seed fails with a reason; numpy need not warn too
-            with np.errstate(all="ignore"):
-                outcomes.append(_train_single_seed(dataset, cfg, seed, sigma))
-        except TrainingDiverged as exc:
-            outcomes.append(SeedOutcome(seed=seed, failed=True, reason=str(exc)))
+    with one_blas_thread():  # bits and noise stream then ignore the caller's count
+        for seed in cfg.seeds:
+            try:  # a diverging seed fails with a reason; numpy need not warn too
+                with np.errstate(all="ignore"):
+                    outcomes.append(_train_single_seed(dataset, cfg, seed, sigma))
+            except TrainingDiverged as exc:
+                outcomes.append(SeedOutcome(seed=seed, failed=True, reason=str(exc)))
+        fingerprint = host_fingerprint()
     good = [o for o in outcomes if not o.failed]
 
     def stats(vals):
@@ -535,9 +554,8 @@ def run_experiment(config: ExperimentConfig,
                          for o in good) if cfg.is_dp else None,
         "versions": {"dpgcn": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        # trained bits also depend on these, so compare runs only where
-        # they agree
-        "fingerprint": host_fingerprint(),
+        # trained bits also depend on these: compare runs only where they agree
+        "fingerprint": fingerprint,
     }
     return ResultsRecord(asdict(cfg), outcomes, aggregate, metadata)
 

@@ -1,5 +1,4 @@
 import csv
-import ctypes
 import importlib.util
 import json
 import os
@@ -722,14 +721,20 @@ print(json.dumps(host_fingerprint()))
 """
 
 
-def fingerprint_in_child(**settings) -> dict:
+def run_in_child(script: str, *args: str, **settings) -> str:
+    """A script's stdout from a fresh process with the given settings and no
+    other OPENBLAS_ variable."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", FINGERPRINT], env=env | settings,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env | settings,
                          capture_output=True, text=True, timeout=60, check=True)
-    return json.loads(out.stdout)
+    return out.stdout
+
+
+def fingerprint_in_child(**settings) -> dict:
+    return json.loads(run_in_child(FINGERPRINT, **settings))
 
 
 def test_fingerprint_records_the_blas_kernel_and_threads():
@@ -744,13 +749,40 @@ def test_fingerprint_records_the_blas_kernel_and_threads():
 def test_run_metadata_records_the_fingerprint(sbm):
     meta = run_experiment(cfg_a(max_epochs=1, seeds=(0,)), dataset=sbm).metadata
     fingerprint = meta["fingerprint"]
-    assert fingerprint == harness_mod.host_fingerprint()
+    with harness_mod.one_blas_thread():  # the count training ran at
+        assert fingerprint == harness_mod.host_fingerprint()
     assert set(fingerprint) == {"numpy_simd", "blas_core", "blas_threads",
                                 "blas_config"}
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     assert fingerprint["numpy_simd"] == [
         t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     assert json.loads(json.dumps(meta)) == meta
+
+
+RESULTS = """
+import sys
+from dpgcn.data import SynthSpec, generate_synthetic
+from dpgcn.harness import ExperimentConfig, emit_results, run_experiment
+reddit = generate_synthetic(SynthSpec((10,) * 41, 0.30, 0.002, 602, 1.5, seed=11))
+cfg = ExperimentConfig(kind="A", optimizer="adam", seeds=(0, 1))
+emit_results(run_experiment(cfg, dataset=reddit), sys.argv[1])
+"""
+
+
+def test_trained_bits_ignore_the_blas_thread_count(tmp_path):
+    # criterion 8's reddit shape, kind A with early stopping: trained at
+    # the caller's count, these seeds differ between 1 and 2 BLAS threads
+    if harness_mod._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    results = []
+    for threads in ("1", "2"):
+        run_in_child(RESULTS, str(tmp_path / threads), OPENBLAS_NUM_THREADS=threads)
+        record = json.loads((tmp_path / threads / "results.json").read_text())
+        for seed in record["seeds"]:
+            seed.pop("seconds")
+        results.append(record)
+    assert results[0] == results[1]
+    assert results[0]["metadata"]["fingerprint"]["blas_threads"] == 1
 
 
 # ---- noise drawn one epoch ahead ----
@@ -769,23 +801,6 @@ WIDE_RUNS = {
     "C": dict(kind="C", optimizer="sgd-dp", s=8, lot_size=2, sigma=2.0,
               lr=0.5, hidden=64, max_epochs=3, seeds=(2,)),
 }
-
-
-@pytest.fixture
-def one_blas_thread():
-    """numpy's OpenBLAS at one thread for the test, the count restored after."""
-    lib = harness_mod._openblas()
-    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if setter is None:
-        yield
-        return
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    before = lib.scipy_openblas_get_num_threads64_()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(before)
 
 
 @pytest.fixture
@@ -822,8 +837,8 @@ def without_seconds(record) -> dict:
 
 
 @pytest.mark.parametrize("kind", sorted(WIDE_RUNS))
-def test_read_ahead_noise_trains_the_same_bits(wide, one_blas_thread,
-                                               streams_built, monkeypatch, kind):
+def test_read_ahead_noise_trains_the_same_bits(wide, streams_built, monkeypatch,
+                                               kind):
     cfg = ExperimentConfig(**WIDE_RUNS[kind])
     ahead = without_seconds(run_experiment(cfg, dataset=wide))
     monkeypatch.setattr(harness_mod, "_idle_core", lambda: False)
@@ -845,6 +860,34 @@ def test_read_ahead_worker_ends_with_every_run(wide, streams_built):
     assert diverged.seeds[0].reason == "non-finite optimizer state at epoch 1"
     assert threading.active_count() == before
     assert streams_built == ["ahead"] * 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_run_restores_the_callers_blas_thread_count(sbm, wide, monkeypatch):
+    lib = harness_mod._openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    threads = lib.scipy_openblas_get_num_threads64_
+    before = threads()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        record = run_experiment(cfg_a(max_epochs=1, seeds=(0,)), dataset=sbm)
+        assert record.metadata["fingerprint"]["blas_threads"] == 1
+        assert threads() == 2
+        diverged = run_experiment(ExperimentConfig(**dict(
+            WIDE_RUNS["B"], sigma=1e300, seeds=(0,))), dataset=wide)
+        assert diverged.seeds[0].reason == "non-finite optimizer state at epoch 1"
+        assert threads() == 2
+        calibrated = harness_mod.calibrate_noise
+        monkeypatch.setattr(harness_mod, "calibrate_noise",
+                            lambda *args: calibrated(*args) / 2)
+        with pytest.raises(RuntimeError, match="exceeds target"):
+            run_experiment(ExperimentConfig(kind="B", optimizer="adam-dp",
+                                            target_epsilon=2.0, max_epochs=5,
+                                            seeds=(0,)), dataset=sbm)
+        assert threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def test_trainer_reads_noise_ahead_only_where_it_pays(sbm, wide, monkeypatch):
