@@ -2,8 +2,8 @@
 
 A dataset directory holds meta.json, edges.tsv (i<j, sorted), features.csv
 (dense) or features.tsv (sparse triplets), labels.tsv, and masks.tsv; all
-text is UTF-8 with LF newlines. Serialization is deterministic, so saving
-the same dataset twice produces byte-identical files.
+text is UTF-8 with LF newlines. Saving the same dataset twice produces
+byte-identical files. The graph is a graph.Graph: nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import build_graph
+from .graph import Graph, build_graph
 from .rng import STREAM_SYNTH, Prng
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _MASK_IDS = {"train": 0, "val": 1, "test": 2}
 
@@ -36,7 +32,7 @@ class DatasetError(ValueError):
 @dataclass
 class Dataset:
     name: str
-    graph: sp.csr_matrix   # symmetric 0/1 adjacency, no self-loops
+    graph: Graph           # symmetric 0/1 adjacency, no self-loops
     features: np.ndarray   # (num_nodes, feature_dim) float64, finite
     labels: np.ndarray     # (num_nodes,) int64, -1 where unlabeled
     train_nodes: np.ndarray
@@ -95,6 +91,7 @@ def _read_rows(path: str, types: tuple) -> np.ndarray:
     if not os.path.isfile(path):
         raise DatasetError("missing-file", f"{name} not found: {path}")
     sep = "," if name.endswith(".csv") else "\t"
+    all_float = all(t is float for t in types)
     rows = []
     with open(path, "rb") as fh:
         for line, raw in enumerate(fh, 1):
@@ -109,7 +106,8 @@ def _read_rows(path: str, types: tuple) -> np.ndarray:
                 raise DatasetError("shape-mismatch", f"{name}:{line}: "
                                    f"{len(cells)} columns, expected {len(types)}")
             try:
-                rows.append([t(c) for t, c in zip(types, cells)])
+                rows.append(list(map(float, cells)) if all_float
+                            else [t(c) for t, c in zip(types, cells)])
             except ValueError as exc:
                 raise DatasetError("bad-row", f"{name}:{line}: {exc}") from None
     try:
@@ -202,22 +200,20 @@ def save_dataset(ds: Dataset, path: str) -> None:
             "feature_kind": ds.feature_kind}
     write("meta.json", [json.dumps(meta, indent=2, sort_keys=True)])
 
-    edges = ds.graph.tocoo()
-    upper = edges.row < edges.col
-    write("edges.tsv", [f"{i}\t{j}" for i, j in zip(edges.row[upper].tolist(),
-                                                     edges.col[upper].tolist())])
+    i = np.repeat(np.arange(ds.num_nodes), np.diff(ds.graph.indptr))
+    j = ds.graph.indices
+    write("edges.tsv", [f"{a}\t{b}" for a, b in zip(i[i < j].tolist(), j[i < j].tolist())])
 
+    features = ds.features.astype(np.float64, copy=False)
     if ds.feature_kind == "dense":
-        write("features.csv",
-              [",".join(repr(float(v)) for v in row) for row in ds.features])
+        write("features.csv", [",".join(map(repr, row.tolist())) for row in features])
     else:
-        nz_i, nz_j = np.nonzero(ds.features)
-        write("features.tsv",
-              [f"{i}\t{j}\t{float(ds.features[i, j])!r}"
-               for i, j in zip(nz_i, nz_j)])
+        nz_i, nz_j = np.nonzero(features)
+        write("features.tsv", [f"{a}\t{b}\t{v!r}" for a, b, v in zip(
+            nz_i.tolist(), nz_j.tolist(), features[nz_i, nz_j].tolist())])
 
-    write("labels.tsv", [f"{i}\t{ds.labels[i]}"
-                         for i in range(ds.num_nodes) if ds.labels[i] >= 0])
+    write("labels.tsv", [f"{i}\t{c}" for i, c in enumerate(ds.labels.tolist())
+                         if c >= 0])
     tokens = [(int(i), t) for t, ids in (("train", ds.train_nodes),
                                          ("val", ds.val_nodes),
                                          ("test", ds.test_nodes)) for i in ids]

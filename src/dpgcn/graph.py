@@ -1,13 +1,14 @@
-"""Graph adjacency as scipy CSR, its normalization, and random node splitting.
+"""Graph adjacency as numpy CSR arrays, its normalization, and random splitting.
 
 A split of the training nodes is a list of s disjoint, sorted int64 arrays
 of global node ids; mask_subgraph turns one group into its induced subgraph.
-scipy is imported when the first CSR matrix is built, not with the package,
-so a process that only uses the accountant never loads it.
+scipy is imported by the first normalize_adjacency, which builds the matrix
+spmm multiplies, so building, saving, loading or splitting never loads it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,13 +20,32 @@ if TYPE_CHECKING:
 
 
 def _sparse():
-    """scipy.sparse, imported by the first graph build."""
+    """scipy.sparse, imported by the first normalize_adjacency."""
     import scipy.sparse
     return scipy.sparse
 
 
-def build_graph(num_nodes: int, edges) -> sp.csr_matrix:
-    """Symmetric 0/1 CSR adjacency from an (i, j) edge list.
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class Graph:
+    """Symmetric 0/1 adjacency in CSR form: the neighbours of node i are
+    indices[indptr[i]:indptr[i + 1]], int64, sorted, without i or repeats."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.size - 1,) * 2
+
+
+def _csr(n: int, keys: np.ndarray) -> Graph:
+    """The n-row Graph of the sorted row-major keys r * n + c."""
+    rows, cols = np.divmod(keys, max(n, 1))
+    return Graph(np.concatenate([[0], np.bincount(rows, minlength=n).cumsum()]), cols)
+
+
+def build_graph(num_nodes: int, edges) -> Graph:
+    """Symmetric 0/1 adjacency from an (i, j) edge list.
 
     Each edge is stored in both orientations; repeats are merged, self-loops
     dropped, and column indices sorted within each row. Endpoints must be
@@ -40,13 +60,11 @@ def build_graph(num_nodes: int, edges) -> sp.csr_matrix:
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge index out of range")
     i, j = edges[edges[:, 0] != edges[:, 1]].T
-    graph = _sparse().csr_matrix(
-        (np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(num_nodes, num_nodes))
-    graph.data[:] = 1.0  # the COO conversion summed repeated edges
-    return graph
+    keys = np.sort(np.concatenate([i * num_nodes + j, j * num_nodes + i]))
+    return _csr(num_nodes, keys[np.diff(keys, prepend=-1) != 0])  # repeats merged
 
 
-def normalize_adjacency(graph: sp.csr_matrix) -> sp.csr_matrix:
+def normalize_adjacency(graph: Graph | sp.csr_matrix) -> sp.csr_matrix:
     """D^-1/2 (A + I) D^-1/2 as a scipy CSR matrix, self-loops included.
 
     Entry (i, j) is 1/sqrt(d_i d_j) where d counts neighbors plus self;
@@ -99,11 +117,22 @@ def random_partition(training_nodes, num_subgraphs: int, rng: Prng) -> list[np.n
     return [nodes[np.sort(chunk)] for chunk in np.array_split(rng.permutation(n), s)]
 
 
-def mask_subgraph(graph: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+def mask_subgraph(graph: Graph, keep) -> Graph:
     """The subgraph induced by the nodes keep, relabeled so keep[i] is node i.
 
-    Edges with an endpoint outside keep are dropped; a negative id is a ValueError.
+    Edges leaving keep are dropped. keep is read by node_ids; a repeated id
+    is a ValueError, an id past the graph an IndexError. Time grows with the
+    edges in keep's rows, not with the graph.
     """
-    if keep.size and keep.min() < 0:
-        raise ValueError("negative node id")
-    return graph[keep][:, keep]
+    keep = node_ids(keep)
+    lo, hi = graph.indptr[keep], graph.indptr[keep + 1]  # IndexError past the graph
+    order = np.argsort(keep)
+    members = keep[order]
+    if (members[1:] == members[:-1]).any():
+        raise ValueError("repeated node id")
+    # gather keep's rows, then keep and relabel the columns in keep
+    rows = np.repeat(np.arange(keep.size), hi - lo)
+    cols = graph.indices[np.arange(rows.size) + (hi - np.cumsum(hi - lo))[rows]]
+    at = np.searchsorted(members, cols)
+    inside = members.take(at, mode="clip") == cols
+    return _csr(keep.size, np.sort(rows[inside] * keep.size + order[at[inside]]))

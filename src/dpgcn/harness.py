@@ -537,7 +537,7 @@ def run_experiment(config: ExperimentConfig,
                        default=None),
         "seeds_failed": sum(o.failed for o in outcomes),
     }
-    import scipy  # loaded by the graph build, so this costs no import time
+    import scipy  # loaded by normalize_adjacency, so this costs no import time
     metadata = {
         "sigma": sigma,
         "test_metric_at": "best_val" if cfg.early_stopping else "final_epoch",

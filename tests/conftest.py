@@ -24,6 +24,11 @@ def load_real(name: str) -> Dataset:
     return load_dataset(path)
 
 
+def neighbours(graph, i):
+    """Node i's neighbours, read from a graph's CSR arrays."""
+    return graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
+
+
 def assert_graph_equal(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)

@@ -359,7 +359,7 @@ def test_python_m_runs_the_cli():
 
 
 def test_fresh_process_run_records_the_scipy_version(synth_dir, tmp_path):
-    # importing dpgcn loads no scipy; the graph build does, before the
+    # importing dpgcn loads no scipy; normalize_adjacency does, before the
     # version is read
     config = tmp_path / "exp.cfg"
     config.write_text(f"dataset = {synth_dir}\nkind = A\noptimizer = adam\n"

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,7 @@ from dpgcn.cli import main
 from dpgcn.data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
                         load_dataset, save_dataset)
 from dpgcn.graph import build_graph
-from conftest import assert_graph_equal
+from conftest import assert_graph_equal, neighbours
 
 
 def write_fixture(root, *, meta=None, edges=("0\t1", "1\t2"),
@@ -61,7 +63,7 @@ def assert_dataset_equal(a, b):
 def test_load_three_node_fixture(tmp_path):
     ds = load_dataset(write_fixture(tmp_path / "fix"))
     assert ds.num_nodes == 3 and ds.num_classes == 2
-    assert ds.graph.nnz // 2 == 2
+    assert ds.graph.indices.size // 2 == 2
     assert np.array_equal(ds.features[1], [0.0, 2.0])
     assert np.array_equal(ds.labels, [0, 1, 0])
     assert np.array_equal(ds.train_nodes, [0])
@@ -288,7 +290,7 @@ def test_save_empty_edge_graph(tmp_path):
     save_dataset(ds, str(tmp_path / "out"))
     assert (tmp_path / "out" / "edges.tsv").read_text() == ""
     loaded = load_dataset(str(tmp_path / "out"))
-    assert loaded.graph.nnz // 2 == 0
+    assert loaded.graph.indices.size // 2 == 0
 
 
 def test_save_sparse_round_trip(tmp_path):
@@ -346,14 +348,14 @@ def test_synth_intra_edge_count_binomial():
     # sd = sqrt(2450 * 0.2 * 0.8) ~ 19.8
     spec = SynthSpec((50, 50), 0.2, 0.0, feature_dim=4, seed=3)
     ds = generate_synthetic(spec)
-    count = ds.graph.nnz // 2
+    count = ds.graph.indices.size // 2
     assert abs(count - 490) <= 3.0 * np.sqrt(2450 * 0.2 * 0.8)
 
 
 def test_synth_inter_zero_means_disconnected_blocks():
     ds = generate_synthetic(SynthSpec((30, 30, 30), 0.2, 0.0, feature_dim=2, seed=5))
     for i in range(ds.num_nodes):
-        for j in ds.graph[i].indices:
+        for j in neighbours(ds.graph, i):
             assert ds.labels[i] == ds.labels[j]
 
 
@@ -361,7 +363,7 @@ def test_synth_inter_edge_count_binomial():
     spec = SynthSpec((40, 40), 0.0, 0.1, feature_dim=2, seed=9)
     ds = generate_synthetic(spec)
     mean, var = 1600 * 0.1, 1600 * 0.1 * 0.9
-    assert abs(ds.graph.nnz // 2 - mean) <= 3.0 * np.sqrt(var)
+    assert abs(ds.graph.indices.size // 2 - mean) <= 3.0 * np.sqrt(var)
 
 
 def test_synth_same_seed_identical():
@@ -416,3 +418,42 @@ def test_synth_round_trips_through_disk(tmp_path):
     ds = generate_synthetic(SynthSpec((12, 12, 12), 0.25, 0.03, feature_dim=3, seed=2))
     save_dataset(ds, str(tmp_path / "synth"))
     assert_dataset_equal(load_dataset(str(tmp_path / "synth")), ds)
+
+
+_DATASET_LAYER = """
+import os, sys
+from dpgcn.cli import main
+from dpgcn.data import SynthSpec, generate_synthetic, load_dataset, save_dataset
+from dpgcn.harness import ExperimentConfig, _Trainer, split_dataset
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+tmp = sys.argv[1]
+ds = generate_synthetic(SynthSpec((12, 12), 0.3, 0.05, feature_dim=3, seed=1))
+save_dataset(ds, os.path.join(tmp, "data"))
+ds = load_dataset(os.path.join(tmp, "data"))
+split_dataset(ds, ds.train_nodes, 3, seed=0)
+with open(os.path.join(tmp, "spec.txt"), "w") as fh:
+    fh.write("block_sizes = 6,6\\np_intra = 0.3\\np_inter = 0.1\\nfeature_dim = 2\\n")
+assert main(["synth", "--spec", os.path.join(tmp, "spec.txt"),
+             "--out", os.path.join(tmp, "synth")]) == 0
+assert main(["split", "--dataset", os.path.join(tmp, "synth"), "--s", "2",
+             "--out", os.path.join(tmp, "split")]) == 0
+print(scipy_modules())
+cfg = ExperimentConfig(kind="C", optimizer="adam", s=3, seeds=(0,)).finalized()
+_Trainer(ds, cfg, seed=0, sigma=None)
+print("scipy.sparse" in scipy_modules())
+"""
+
+
+def test_dataset_layer_loads_no_scipy(tmp_path):
+    # building, saving, loading and splitting a dataset, and `dpgcn synth`
+    # and `dpgcn split`, only store 0/1 structure; scipy.sparse comes in
+    # with the first normalized adjacency, which building a trainer makes
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _DATASET_LAYER, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-2:] == ["[]", "True"]

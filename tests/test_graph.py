@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import neighbours
 from dpgcn.graph import (build_graph, mask_subgraph, normalize_adjacency,
                          random_partition, spmm)
 from dpgcn.rng import Prng
@@ -15,7 +17,7 @@ from dpgcn.rng import Prng
 def dense_adjacency(graph):
     a = np.zeros(graph.shape)
     for i in range(graph.shape[0]):
-        a[i, graph[i].indices] = 1.0
+        a[i, neighbours(graph, i)] = 1.0
     return a
 
 
@@ -55,7 +57,7 @@ def test_build_one_edge_symmetry():
     g = build_graph(2, [(0, 1)])
     assert np.array_equal(g.indptr, [0, 1, 2])
     assert np.array_equal(g.indices, [1, 0])
-    assert g.nnz // 2 == 1
+    assert g.indices.size // 2 == 1
 
 
 def test_build_dedups_both_orientations():
@@ -94,7 +96,7 @@ def test_build_accepts_integer_endpoints(edges):
 
 def test_build_sorted_rows():
     g = build_graph(5, [(0, 4), (0, 2), (0, 1), (3, 0)])
-    assert np.array_equal(g[0].indices, [1, 2, 3, 4])
+    assert np.array_equal(neighbours(g, 0), [1, 2, 3, 4])
 
 
 # ---- normalize_adjacency ----
@@ -146,7 +148,7 @@ def test_normalize_row_sum_formula():
     adj = normalize_adjacency(g)
     d = np.diff(g.indptr) + 1.0
     for i in range(7):
-        neigh = np.append(g[i].indices, i)
+        neigh = np.append(neighbours(g, i), i)
         want = np.sum(1.0 / np.sqrt(d[i] * d[neigh]))
         lo, hi = adj.indptr[i], adj.indptr[i + 1]
         assert adj.data[lo:hi].sum() == pytest.approx(want, rel=1e-12)
@@ -270,14 +272,14 @@ def test_mask_drops_bridge_keeps_triangles():
     for keep in (np.array([0, 1, 2]), np.array([3, 4, 5])):
         sub = mask_subgraph(g, keep)
         assert sub.shape == (3, 3)
-        assert sub.nnz // 2 == 3  # the triangle, bridge gone
+        assert sub.indices.size // 2 == 3  # the triangle, bridge gone
 
 
 def test_mask_triangle_partial():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     sub = mask_subgraph(g, np.array([0, 1]))
-    assert sub.shape[0] == 2 and sub.nnz // 2 == 1
-    assert np.array_equal(sub[0].indices, [1])
+    assert sub.shape[0] == 2 and sub.indices.size // 2 == 1
+    assert np.array_equal(neighbours(sub, 0), [1])
 
 
 def test_mask_singleton():
@@ -289,7 +291,7 @@ def test_mask_singleton():
 def test_mask_preserves_fully_contained_edges():
     g = _two_triangles()
     sub = mask_subgraph(g, np.arange(6))
-    assert sub.nnz // 2 == g.nnz // 2
+    assert sub.indices.size // 2 == g.indices.size // 2
 
 
 def test_mask_index_error():
@@ -298,6 +300,11 @@ def test_mask_index_error():
         mask_subgraph(g, np.array([0, 2]))
     with pytest.raises(ValueError):  # numpy would wrap it to the last node
         mask_subgraph(build_graph(3, [(0, 1), (1, 2)]), np.array([-1, 1]))
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="must be integers"):  # a cast reads node 3
+        mask_subgraph(g, np.array([3.0]))
+    with pytest.raises(ValueError, match="repeated node id"):  # node 1 listed twice
+        mask_subgraph(g, np.array([1, 1, 2]))
 
 
 @given(seed=st.integers(0, 50), s=st.integers(1, 6))
@@ -306,9 +313,10 @@ def test_mask_no_cross_edges_property(seed, s):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(s, 15))
     g = random_graph(n, int(rng.integers(0, 2 * n)), seed)
-    # the format: symmetric 0/1 CSR, repeats merged, indices sorted
-    assert (g.data == 1.0).all() and g.has_canonical_format
-    assert (g != g.T).nnz == 0
+    # the format: symmetric CSR, rows sorted, repeats merged
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert all((np.diff(neighbours(g, i)) > 0).all() for i in range(n))
+    assert np.array_equal(dense_adjacency(g), dense_adjacency(g).T)
     groups = random_partition(np.arange(n), s, Prng(seed))
     assign = np.empty(n, dtype=int)
     for k, keep in enumerate(groups):
@@ -316,12 +324,48 @@ def test_mask_no_cross_edges_property(seed, s):
     kept = 0
     for k, keep in enumerate(groups):
         sub = mask_subgraph(g, keep)
-        kept += sub.nnz // 2
+        kept += sub.indices.size // 2
         for new_i in range(sub.shape[0]):
-            for new_j in sub[new_i].indices:
+            for new_j in neighbours(sub, new_i):
                 gi, gj = keep[new_i], keep[new_j]
                 assert assign[gi] == assign[gj] == k
     # kept edges are exactly those with both endpoints in one subgraph
-    want = sum(1 for i in range(n) for j in g[i].indices
+    want = sum(1 for i in range(n) for j in neighbours(g, i)
                if i < j and assign[i] == assign[j])
     assert kept == want
+
+
+# ---- scipy.sparse as the reference ----
+
+@st.composite
+def edges_and_keep(draw):
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    # repeats and self-loops included; some nodes end up isolated
+    edges = draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
+    keep = draw(st.one_of(st.permutations(range(n)),   # whole graph, shuffled
+                          st.lists(node, min_size=min(n, 1), max_size=min(n, 1)),
+                          st.lists(node, unique=True, max_size=n)) if n
+                else st.just([]))
+    return n, edges, np.array(keep, dtype=np.int64)
+
+
+@given(edges_and_keep())
+@settings(max_examples=200, deadline=None)
+def test_build_and_mask_match_scipy_csr(case):
+    n, edges, keep = case
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    ref = sp.csr_matrix((np.ones(2 * len(e)), (np.r_[e[:, 0], e[:, 1]],
+                                               np.r_[e[:, 1], e[:, 0]])), shape=(n, n))
+    ref.sum_duplicates()  # repeats summed, indices sorted within rows
+    g = build_graph(n, edges)
+    assert g.shape == ref.shape
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert np.array_equal(g.indices, ref.indices)
+    sub, want = mask_subgraph(g, keep), ref[keep][:, keep]
+    want.sum_duplicates()
+    assert sub.shape == want.shape
+    assert np.array_equal(sub.indptr, want.indptr)
+    assert np.array_equal(sub.indices, want.indices)
