@@ -107,33 +107,33 @@ def _grid_tables(orders: tuple, shape: tuple[int, ...] | None) -> SimpleNamespac
     return grid
 
 
-@lru_cache(maxsize=100000)
-def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
-    """Exact log moment at integer order lam (Mironov, Talwar & Zhang 2019).
-
-    With mu = N(0, sigma^2), nu = (1-q) mu + q N(1, sigma^2) and a = lam + 1,
-    binomially expanding alpha = log E_mu[(nu/mu)^a] gives
+def log_moment(q: float, sigma: float, lam):
+    """Per-step log moment at integer order lam, or at each order of an
+    array lam: the closed form at q = 1, and below it the exact expansion
+    (Mironov, Talwar & Zhang 2019). With mu = N(0, sigma^2),
+    nu = (1-q) mu + q N(1, sigma^2) and a = lam + 1, binomially expanding
+    alpha = log E_mu[(nu/mu)^a] gives
     alpha = log1p(sum_{k=2..a} C(a,k) (1-q)^(a-k) q^k expm1((k^2-k)/(2 sigma^2))).
     Every term is positive, so the sum is taken in log space with nothing
     to cancel; log expm1(x) = x + log(-expm1(-x)) neither overflows at tiny
-    sigma nor underflows at huge sigma. Uncached, lam may be an array, one
-    table row per order (see _grid_tables); each cell sums in a fixed order.
+    sigma nor underflows at huge sigma. An array lam gives one table row
+    per order (see _grid_tables); each cell sums in a fixed order.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("sampling ratio must be in (0, 1]")
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     grid = _order_grid(lam)
+    if q == 1.0:
+        return gaussian_log_moment(sigma, grid.orders_f)
     # at extreme sigma, x (tiny sigma) or 2 sigma^2 (huge sigma) overflows to inf
     with np.errstate(divide="ignore", over="ignore"):
         x = grid.k_k1 / (2.0 * sigma * sigma)
         log_terms = grid.log_binom + grid.k * math.log(q)
         log_terms += x
         log_terms += np.log(-np.expm1(-x))
-        if q < 1.0:
-            log_terms += grid.a_minus_k * math.log1p(-q)
-        # k > a is outside the row; at q = 1, (1 - q)^(a - k) vanishes for every k < a
-        log_terms[grid.outside if q < 1.0 else grid.a_minus_k != 0.0] = -np.inf
+        log_terms += grid.a_minus_k * math.log1p(-q)
+        log_terms[grid.outside] = -np.inf  # k > a is outside the row
         # the shift is kept finite, as +-inf would give inf - inf = nan: a +inf
         # term gives alpha = +inf, and a row of -inf terms alpha = log1p(0) = 0
         big = np.finfo(np.float64).max
@@ -143,14 +143,9 @@ def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
         return np.logaddexp(0.0, top[..., 0] + np.log(terms.sum(-1)))
 
 
-def log_moment(q: float, sigma: float, lam):
-    """Per-step log moment at order lam, or at each order of an array lam."""
-    if q == 1.0:  # any real order lam >= 1; below q = 1 the grid checks lam
-        lam = np.asarray(lam)
-        if lam.min() < 1:
-            raise ValueError("moment order must be at least 1")
-        return gaussian_log_moment(sigma, lam)
-    return subsampled_log_moment.__wrapped__(q, sigma, lam)
+# a memo of scalar queries: no accountant path consults it; perfbench reads
+# its cache_info
+subsampled_log_moment = lru_cache(maxsize=100000)(log_moment)
 
 
 def compose(ledger: AccountantLedger) -> np.ndarray:

@@ -19,12 +19,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-def _sparse():
-    """scipy.sparse, imported by the first normalize_adjacency."""
-    import scipy.sparse
-    return scipy.sparse
-
-
 @dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
 class Graph:
     """Symmetric 0/1 adjacency in CSR form: the neighbours of node i are
@@ -70,6 +64,8 @@ def normalize_adjacency(graph: Graph | sp.csr_matrix) -> sp.csr_matrix:
     Entry (i, j) is 1/sqrt(d_i d_j) where d counts neighbors plus self;
     the same product is used for (j, i), so symmetry is exact.
     """
+    from scipy.sparse import csr_matrix  # the first call loads scipy
+
     n = graph.shape[0]
     degrees = np.diff(graph.indptr)
     # row-major keys r*n + c of the edges plus the diagonal, sorted once
@@ -78,8 +74,8 @@ def normalize_adjacency(graph: Graph | sp.csr_matrix) -> sp.csr_matrix:
         np.arange(n) * (n + 1)]))
     rows, cols = np.divmod(keys, n)
     inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
-    return _sparse().csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols,
-                                 graph.indptr + np.arange(n + 1)), shape=(n, n))
+    return csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols,
+                       graph.indptr + np.arange(n + 1)), shape=(n, n))
 
 
 def spmm(adj: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:

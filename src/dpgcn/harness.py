@@ -314,8 +314,8 @@ class _Trainer:
     def _noise_stream(self) -> Prng:
         """The noise stream, drawn one epoch ahead on a worker thread where
         that pays: an epoch of at least 2^14 draws (smaller ones lose more
-        to GIL hand-offs than they gain), at most 2^21 (each of the two
-        buffers holds an epoch, 16 MB at most), and a CPU that BLAS leaves
+        to GIL hand-offs than they gain), at most 2^21 (at most two epochs'
+        chunks are held at once, 16 MB each), and a CPU that BLAS leaves
         idle (else the worker slows BLAS). Either way the bits are the same."""
         cfg, dim = self.cfg, self.params.flat.size
         if cfg.is_dp and 2 ** 14 <= cfg.steps_per_epoch * dim <= 2 ** 21 \

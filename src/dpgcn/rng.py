@@ -57,15 +57,15 @@ class ReadAheadNormals(Prng):
     """A Prng stream that serves only ``normal(size, std)``, exactly
     ``chunks * rows`` times, each call's draws bit-identical to Prng's.
 
-    One worker thread fills the next chunk of rows * size standard normals
-    while the caller reads the current one; numpy's fill releases the GIL,
-    so it runs on another core. Chunks go into two fixed buffers, and
-    ``normal`` returns a fresh scaled copy of its row. While the worker
-    fills, it owns the generator, so any other draw would make the stream
-    depend on timing: uniform, permutation, another size and a draw past
-    the total raise ValueError. A worker's exception is raised by the call
-    that needs its chunk, which never reads an unfilled buffer. ``close``
-    stops the worker.
+    One worker thread draws the next chunk, a fresh (rows, size) array of
+    standard normals, while the caller reads the current one; numpy's fill
+    releases the GIL, so it runs on another core. ``normal`` returns a
+    scaled copy of its row, and a row comes only from a chunk the worker
+    has finished. While the worker draws, it owns the generator, so any
+    other draw would make the stream depend on timing: uniform,
+    permutation, another size and a draw past the total raise ValueError.
+    A worker's exception is raised by every call that needs its chunk.
+    ``close`` stops the worker.
     """
 
     def __init__(self, seed: int, stream: int, size: int, rows: int,
@@ -75,33 +75,30 @@ class ReadAheadNormals(Prng):
 
         super().__init__(seed, stream)
         self._size, self._left = int(size), int(chunks)
-        self._bufs = [np.empty((int(rows), self._size)) for _ in range(2)]
-        self._cur, self._row = 1, int(rows)  # nothing to read before chunk 0
+        self._shape = (int(rows), self._size)
+        self._rows = iter(())  # nothing to read before chunk 0
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="dpgcn-noise")
-        self._pending = None
-        self._fill_next()
+        self._next = self._draw_chunk()
 
-    def _fill_next(self) -> None:
-        """Start filling the buffer not being read with the next chunk."""
-        if self._left:
-            self._left -= 1
-            self._pending = self._pool.submit(self._gen.standard_normal,
-                                              out=self._bufs[1 - self._cur])
+    def _draw_chunk(self):
+        """The future of the next chunk, or None past the last one."""
+        if not self._left:
+            return None
+        self._left -= 1
+        return self._pool.submit(self._gen.standard_normal, self._shape)
 
     def _normal(self, size, std: float):
         if size != self._size:
             raise ValueError(f"this stream draws {self._size} normals a call, "
                              f"not {size}")
-        rows = self._bufs[self._cur]
-        if self._row == len(rows):
-            if self._pending is None:
+        row = next(self._rows, None)
+        if row is None:
+            if self._next is None:
                 raise ValueError("read-ahead stream exhausted")
-            self._pending.result()  # waits for the chunk; raises the worker's error
-            self._pending, self._cur, self._row = None, 1 - self._cur, 0
-            self._fill_next()
-            rows = self._bufs[self._cur]
-        self._row += 1
-        return np.multiply(rows[self._row - 1], std)
+            self._rows = iter(self._next.result())  # raises the worker's error
+            self._next = self._draw_chunk()
+            row = next(self._rows)
+        return np.multiply(row, std)
 
     def uniform(self, size=None):
         raise ValueError("a read-ahead stream draws only normals")
@@ -111,5 +108,5 @@ class ReadAheadNormals(Prng):
 
     def close(self) -> None:
         """Wait for the worker and stop it; later chunks are not drawn."""
-        self._left, self._pending = 0, None
+        self._left, self._next = 0, None
         self._pool.shutdown(wait=True, cancel_futures=True)

@@ -98,6 +98,11 @@ def test_log_moment_validation():
     for lam in (2.5, np.array([1.0, 2.5]), math.nan):
         with pytest.raises(ValueError):
             log_moment(0.5, 1.0, lam)
+    # q = 1 refuses them too, as the ledger does: every q takes integer orders
+    with pytest.raises(ValueError, match="integers"):
+        log_moment(1.0, 1.0, 2.5)
+    with pytest.raises(ValueError, match="integers"):
+        log_moment(1.0, 1.0, [1.0, 2.5])
     for sigma in (math.nan, math.inf, -math.inf):
         for q in (0.5, 1.0):
             with pytest.raises(ValueError):
@@ -126,11 +131,16 @@ def test_log_moment_array_at_full_sampling_is_the_closed_form():
 
 
 def test_quadrature_matches_closed_form_at_full_sampling():
+    # at q = 1 the memo returns the closed form itself, bit for bit
     for lam in (1, 2, 5, 17, 32):
         for sigma in (1.0, 4.0, 56.0, 200.0):
             got = subsampled_log_moment(1.0, sigma, lam)
-            want = gaussian_log_moment(sigma, lam)
-            assert got == pytest.approx(want, rel=1e-6)
+            assert got == gaussian_log_moment(sigma, lam), (lam, sigma)
+
+
+def test_memo_is_a_cache_of_log_moment():
+    # one copy of the expansion: the memo wraps log_moment itself
+    assert subsampled_log_moment.__wrapped__ is log_moment
 
 
 def test_amplification_at_sample_points():

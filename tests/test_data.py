@@ -107,6 +107,12 @@ def test_fixture_round_trips_through_save(tmp_path):
           feature_file="features.tsv", features=("0\t1\t0.5",)), "bad-meta"),
     (dict(meta={"name": "x", "num_nodes": 10**30, "num_classes": 2,
                 "feature_dim": 2, "feature_kind": "dense"}), "bad-meta"),
+    # a node labelled twice; a (node, dim) listed twice
+    (dict(labels=("0\t0", "1\t1", "2\t0", "0\t1")), "duplicate-row"),
+    (dict(meta={"name": "x", "num_nodes": 3, "num_classes": 2,
+                "feature_dim": 2, "feature_kind": "sparse"},
+          feature_file="features.tsv",
+          features=("2\t1\t0.5", "0\t0\t1.0", "2\t1\t0.25")), "duplicate-row"),
 ])
 def test_load_error_codes(tmp_path, mutate, code):
     path = write_fixture(tmp_path / "bad", **mutate)

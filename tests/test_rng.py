@@ -173,11 +173,11 @@ class FailingGenerator:
     def __init__(self, gen):
         self.gen, self.fills = gen, 0
 
-    def standard_normal(self, out):
+    def standard_normal(self, size):
         self.fills += 1
         if self.fills == 2:
             raise MemoryError("fill failed")
-        return self.gen.standard_normal(out=out)
+        return self.gen.standard_normal(size)
 
 
 def test_read_ahead_raises_the_worker_error_on_the_caller(monkeypatch):
