@@ -131,11 +131,15 @@ def test_log_moment_array_at_full_sampling_is_the_closed_form():
 
 
 def test_quadrature_matches_closed_form_at_full_sampling():
-    # at q = 1 the memo returns the closed form itself, bit for bit
+    # q = 1 returns the closed form itself, so approach it from below: the
+    # expansion's k < a terms then carry (1 - q)^(a - k) <= 1.1e-16 and
+    # vanish, and what is left must be the closed form
+    q = np.nextafter(1.0, 0.0)
     for lam in (1, 2, 5, 17, 32):
         for sigma in (1.0, 4.0, 56.0, 200.0):
-            got = subsampled_log_moment(1.0, sigma, lam)
-            assert got == gaussian_log_moment(sigma, lam), (lam, sigma)
+            got = log_moment(q, sigma, lam)
+            want = gaussian_log_moment(sigma, lam)
+            assert got == pytest.approx(want, rel=1e-6), (lam, sigma)
 
 
 def test_memo_is_a_cache_of_log_moment():
