@@ -32,9 +32,9 @@ from .data import Dataset, load_dataset
 from .dp import (AdamState, DpNoiseSpec, adam_step, noisy_lot_gradient,
                  sample_lot, sgd_step)
 from .graph import mask_subgraph, normalize_adjacency, random_partition, spmm
-from .model import (GcnParams, Metrics, Target, backward, evaluate, forward,
-                    init_params, macro_f1, masked_cross_entropy,
-                    masked_log_probs)
+from .model import (SPLIT_MACS, GcnParams, Metrics, Target, backward,
+                    evaluate, forward, init_params, macro_f1,
+                    masked_cross_entropy, masked_log_probs)
 from .rng import Prng, ReadAheadNormals
 
 if TYPE_CHECKING:
@@ -308,8 +308,18 @@ class _Trainer:
             if cfg.kind == "C" else [self.full]
         self.test = Target.of(dataset.labels, dataset.test_nodes,
                               dataset.num_classes)
-        # last, so that nothing after it can raise and leave its worker running
+        # last, so that nothing after them can raise and leave a worker running
+        self.worker = self._product_worker()
         self.rng_noise = self._noise_stream()
+
+    def _product_worker(self):
+        """A thread for the first half of each split first-layer product,
+        where one pays: an example's product is split and a CPU is idle."""
+        if max(ex.ax.size for ex in self.examples) * self.cfg.hidden < SPLIT_MACS \
+                or not _idle_core():
+            return None
+        from concurrent.futures import ThreadPoolExecutor  # 9 ms: import late
+        return ThreadPoolExecutor(1, thread_name_prefix="dpgcn-product")
 
     def _noise_stream(self) -> Prng:
         """The noise stream, drawn one epoch ahead on a worker thread where
@@ -325,19 +335,22 @@ class _Trainer:
         return Prng(self.seed, streams.STREAM_NOISE)
 
     def close(self) -> None:
-        """Stop the noise stream's worker thread, if it has one."""
+        """Stop the worker threads; later products run their halves in turn."""
         if isinstance(self.rng_noise, ReadAheadNormals):
             self.rng_noise.close()
+        if self.worker is not None:
+            self.worker.shutdown()
+            self.worker = None
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
         ex = self.examples[k]
         trace = forward(self.params, ex.adj, ax=ex.ax, dropout=self.cfg.dropout,
-                        training=True, rng=self.rng_drop)
+                        training=True, rng=self.rng_drop, worker=self.worker)
         log_probs = masked_log_probs(trace.logits, ex.target)
         loss = masked_cross_entropy(ex.target, log_probs=log_probs)
         _require_finite(loss, "loss", epoch)
         self.last_loss = loss
-        grad = backward(trace, ex.target, log_probs=log_probs)
+        grad = backward(trace, ex.target, log_probs=log_probs, worker=self.worker)
         # a NaN or inf entry, or a squared norm past the float range, which
         # clip_gradient would reject
         _require_finite(float(grad.dot(grad)), "gradient", epoch)
@@ -369,7 +382,8 @@ class _Trainer:
 
     def metrics(self, params: GcnParams, target: Target) -> Metrics:
         """params scored on the target's nodes of the full graph."""
-        return evaluate(params, self.full.adj, target, ax=self.full.ax)
+        return evaluate(params, self.full.adj, target, ax=self.full.ax,
+                        worker=self.worker)
 
     @cached_property
     def val(self) -> Target:

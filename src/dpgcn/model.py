@@ -20,7 +20,11 @@ from .graph import node_ids, spmm
 from .rng import Prng
 
 if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
     import scipy.sparse as sp
+
+SPLIT_MACS = 2 ** 22  # below it, a second thread costs more than it saves
 
 
 class GcnParams:
@@ -71,13 +75,36 @@ def init_params(feature_dim: int, hidden: int, num_classes: int,
     return GcnParams(glorot(feature_dim, hidden), glorot(hidden, num_classes))
 
 
+def _first_layer(left: np.ndarray, right: np.ndarray, out: np.ndarray,
+                 worker: Executor | None) -> np.ndarray:
+    """out = left @ right; from SPLIT_MACS multiply-adds on, as the
+    products of left's two row halves, the first on worker if given. The
+    cut depends on the shape alone, so the bits do not depend on worker."""
+    if left.size * right.shape[1] < SPLIT_MACS:
+        return np.matmul(left, right, out=out)
+    cut = left.shape[0] // 2
+    if worker is None:
+        np.matmul(left[:cut], right, out=out[:cut])
+    else:
+        first = worker.submit(np.matmul, left[:cut], right, out=out[:cut])
+    try:
+        np.matmul(left[cut:], right, out=out[cut:])
+    finally:
+        if worker is not None:
+            first.result()  # raises the worker's error
+    return out
+
+
 def forward(params: GcnParams, adj: sp.csr_matrix, *, ax: np.ndarray,
             dropout: float = 0.0, training: bool = False,
-            rng: Prng | None = None) -> ForwardTrace:
-    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features)."""
+            rng: Prng | None = None,
+            worker: Executor | None = None) -> ForwardTrace:
+    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features), and
+    ``worker`` computes half of Z0 where it is split."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    z0 = ax @ params.w0
+    z0 = _first_layer(ax, params.w0, np.empty((len(ax), params.w0.shape[1])),
+                      worker)
     h = np.maximum(z0, 0.0)
     if training and dropout > 0.0:
         if rng is None:
@@ -161,7 +188,8 @@ def masked_cross_entropy(target: Target, *, log_probs: np.ndarray) -> float:
 
 
 def backward(trace: ForwardTrace, target: Target, *,
-             log_probs: np.ndarray) -> np.ndarray:
+             log_probs: np.ndarray,
+             worker: Executor | None = None) -> np.ndarray:
     """Gradient of the target's loss at the traced point, as params.flat.
 
     ``log_probs`` is masked_log_probs(trace.logits, target).
@@ -183,17 +211,18 @@ def backward(trace: ForwardTrace, target: Target, *,
     split = params.w0.size
     np.matmul(trace.hidden.T, ag1, out=grad[split:].reshape(params.w1.shape))
     g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
-    np.matmul(trace.ax.T, g0, out=grad[:split].reshape(params.w0.shape))
+    _first_layer(trace.ax.T, g0, grad[:split].reshape(params.w0.shape), worker)
     return grad
 
 
 def evaluate(params: GcnParams, adj: sp.csr_matrix, target: Target, *,
-             ax: np.ndarray) -> Metrics:
+             ax: np.ndarray, worker: Executor | None = None) -> Metrics:
     """Micro-F1, confusion matrix, and error set on the target's nodes."""
     k = target.num_classes
     if params.w1.shape[1] != k:
         raise ValueError("params do not match the target's classes")
-    logits = _target_rows(forward(params, adj, ax=ax).logits, target)
+    logits = _target_rows(forward(params, adj, ax=ax, worker=worker).logits,
+                          target)
     pred = logits.argmax(axis=1)  # ties: lowest index
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (target.labels, pred), 1)

@@ -127,6 +127,10 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
         raise DatasetError("bad-row", f"ind.{name}.graph: {exc}") from None
 
     val_nodes = np.arange(y.shape[0], y.shape[0] + val_count, dtype=np.int64)
+    if val_nodes.size and val_nodes[-1] >= num_nodes:
+        raise DatasetError("index-out-of-range", f"ind.{name}.y: the {val_count}"
+                           f"-node validation window after its {y.shape[0]} "
+                           f"rows runs past the {num_nodes} nodes")
     test_nodes = np.sort(test_index)
     claimed = np.zeros(num_nodes, dtype=bool)
     claimed[val_nodes] = True

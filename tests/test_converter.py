@@ -216,10 +216,13 @@ def _crafted_pickle(raw):
     (_repickle("y", [[1, 0], [0, 1]]), "bad-row: ind.cora.y: not a 2-D matrix"),
     (_crafted_pickle,
      "bad-row: ind.cora.x: UnpicklingError: global io.open is not allowed"),
+    # undamaged: ten nodes cannot hold the default 500-node validation window
+    (lambda raw: None, "index-out-of-range: ind.cora.y: the 500-node "
+     "validation window after its 2 rows runs past the 10 nodes"),
 ], ids=["missing-dir", "junk-pickle", "bad-test-index", "graph-not-mapping",
         "tx-rows", "ty-rows", "ally-rows", "graph-value-not-ids",
         "graph-key-out-of-range", "tx-columns", "ty-columns", "ally-1d",
-        "y-not-matrix", "crafted-pickle"])
+        "y-not-matrix", "crafted-pickle", "validation-window-past-the-nodes"])
 def test_convert_cli_bad_raw_dir_exits_3(tmp_path, capsys, damage, message):
     raw = tmp_path / "raw"
     if damage is not None:  # None: the raw directory does not exist

@@ -760,29 +760,45 @@ def test_run_metadata_records_the_fingerprint(sbm):
 
 
 RESULTS = """
-import sys
+import os, sys
 from dpgcn.data import SynthSpec, generate_synthetic
 from dpgcn.harness import ExperimentConfig, emit_results, run_experiment
 reddit = generate_synthetic(SynthSpec((10,) * 41, 0.30, 0.002, 602, 1.5, seed=11))
-cfg = ExperimentConfig(kind="A", optimizer="adam", seeds=(0, 1))
-emit_results(run_experiment(cfg, dataset=reddit), sys.argv[1])
+for kind, cfg in (("A", ExperimentConfig(kind="A", optimizer="adam", seeds=(0, 1))),
+                  ("B", ExperimentConfig(kind="B", optimizer="adam-dp", sigma=4.0,
+                                         max_epochs=5, seeds=(0,)))):
+    emit_results(run_experiment(cfg, dataset=reddit), os.path.join(sys.argv[1], kind))
 """
 
 
 def test_trained_bits_ignore_the_blas_thread_count(tmp_path):
-    # criterion 8's reddit shape, kind A with early stopping: trained at
-    # the caller's count, these seeds differ between 1 and 2 BLAS threads
+    # criterion 8's reddit shape. Kind A with early stopping: trained at the
+    # caller's count, these seeds differ between 1 and 2 BLAS threads. Kind
+    # B, DP: on a second CPU, its first-layer products split across two
+    # threads and its noise is drawn ahead
     if harness_mod._openblas() is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
-    results = []
-    for threads in ("1", "2"):
-        run_in_child(RESULTS, str(tmp_path / threads), OPENBLAS_NUM_THREADS=threads)
-        record = json.loads((tmp_path / threads / "results.json").read_text())
-        for seed in record["seeds"]:
-            seed.pop("seconds")
-        results.append(record)
-    assert results[0] == results[1]
-    assert results[0]["metadata"]["fingerprint"]["blas_threads"] == 1
+
+    def results(name, script=RESULTS, **settings):
+        run_in_child(script, str(tmp_path / name), **settings)
+        records = []
+        for kind in ("A", "B"):
+            record = json.loads((tmp_path / name / kind / "results.json").read_text())
+            for seed in record["seeds"]:
+                seed.pop("seconds")
+            records.append(record)
+        return records
+
+    one = results("1", OPENBLAS_NUM_THREADS="1")
+    assert one == results("2", OPENBLAS_NUM_THREADS="2")
+    assert one[0]["metadata"]["fingerprint"]["blas_threads"] == 1
+    assert one[1]["aggregate"]["seeds_failed"] == 0
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("no affinity call, or no second CPU to leave out")
+    # pinned to one CPU, before numpy loads: no worker, halves in turn
+    pin = f"import os\nos.sched_setaffinity(0, {{{cpus[0]}}})\n"
+    assert results("pinned", pin + RESULTS) == one
 
 
 # ---- noise drawn one epoch ahead ----
@@ -904,6 +920,70 @@ def test_trainer_reads_noise_ahead_only_where_it_pays(sbm, wide, monkeypatch):
     assert stream(sbm, True) is Prng
     # 4 lots of 530,432 draws: past the 2^21 cap on each buffer
     assert stream(wide, True, kind="C", s=8, lot_size=2, hidden=2048) is Prng
+
+
+# ---- first-layer products split across a worker thread ----
+
+@pytest.fixture(scope="module")
+def reddit():
+    # criterion 8's reddit shape: 410 x 602 at hidden 32, 7.5 Mi multiply-adds
+    return generate_synthetic(SynthSpec((10,) * 41, 0.30, 0.002, 602, 1.5, seed=11))
+
+
+def product_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("dpgcn-product")]
+
+
+def test_trainer_splits_on_a_worker_only_where_it_pays(sbm, reddit, monkeypatch):
+    def has_worker(dataset, idle, **kw):
+        monkeypatch.setattr(harness_mod, "_idle_core", lambda: idle)
+        cfg = ExperimentConfig(**dict(WIDE_RUNS["B"], hidden=32, **kw)).finalized()
+        trainer = harness_mod._Trainer(dataset, cfg, seed=0, sigma=cfg.sigma)
+        built = trainer.worker is not None
+        trainer.close()
+        assert trainer.worker is None
+        return built
+
+    assert has_worker(reddit, True)
+    assert not has_worker(reddit, False)  # BLAS uses every CPU
+    # lots-reddit's examples: 8 subgraphs of about 51 nodes, 0.6 Mi each
+    assert not has_worker(reddit, True, kind="C", s=8, lot_size=2)
+    assert not has_worker(sbm, True)
+
+
+def test_no_thread_where_none_pays():
+    # sbm500, kind C: every product below the cutoff, and 6,720 draws an
+    # epoch, too few to draw ahead
+    sbm500 = generate_synthetic(SynthSpec((100,) * 5, 0.10, 0.01, 16, 1.0, seed=1))
+    before = threading.active_count()
+    record = run_experiment(ExperimentConfig(
+        kind="C", optimizer="adam-dp", s=10, lot_size=1, sigma=2.0,
+        max_epochs=3, seeds=(0,)), dataset=sbm500)
+    assert record.aggregate["seeds_failed"] == 0
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_product_worker_ends_with_every_run(reddit, monkeypatch):
+    monkeypatch.setattr(harness_mod, "_idle_core", lambda: True)
+    seen = []
+    real_forward = harness_mod.forward
+
+    def forward(*args, **kwargs):
+        seen.append(len(product_threads()))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "forward", forward)
+    before = threading.active_count()
+    cfg = dict(kind="B", optimizer="adam-dp", sigma=4.0, max_epochs=3, seeds=(0,))
+    run_experiment(ExperimentConfig(**cfg), dataset=reddit)
+    assert max(seen) == 1 and not product_threads()
+    assert threading.active_count() == before
+    diverged = run_experiment(ExperimentConfig(**dict(cfg, sigma=1e300)),
+                              dataset=reddit)
+    assert diverged.seeds[0].reason == "non-finite optimizer state at epoch 1"
+    assert not product_threads()
+    assert threading.active_count() == before
 
 
 def test_idle_core_needs_both_counts(monkeypatch):

@@ -1,9 +1,11 @@
+from concurrent.futures import Future, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dpgcn.graph import build_graph, normalize_adjacency, spmm
-from dpgcn.model import (GcnParams, Target, backward, evaluate, forward,
-                         init_params, macro_f1, masked_cross_entropy,
+from dpgcn.model import (SPLIT_MACS, GcnParams, Target, backward, evaluate,
+                         forward, init_params, macro_f1, masked_cross_entropy,
                          masked_log_probs)
 from dpgcn.rng import Prng, STREAM_DROPOUT
 
@@ -35,9 +37,9 @@ def gradient_of(trace, labels, mask):
     return backward(trace, target, log_probs=log_probs)
 
 
-def evaluate_on(params, adj, labels, mask, *, ax):
+def evaluate_on(params, adj, labels, mask, *, ax, worker=None):
     return evaluate(params, adj, Target.of(labels, mask, params.w1.shape[1]),
-                    ax=ax)
+                    ax=ax, worker=worker)
 
 
 def analytic_gradient(params, adj, feats, labels, mask):
@@ -400,6 +402,69 @@ def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
     assert np.array_equal(grad, want_grad)
     # backward reads log_probs and leaves it as it was
     assert np.array_equal(log_probs, reference_log_softmax(trace.logits[mask]))
+
+
+# ---- first-layer products past SPLIT_MACS: two halves, cut by shape ----
+
+class FailingWorker:
+    """An executor whose every task fails."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_exception(RuntimeError("worker failed"))
+        return future
+
+
+def trained_step(params, adj, feats, labels, worker):
+    """The trace and gradient of one dropout step on every node."""
+    trace = run_forward(params, adj, feats, dropout=0.5, training=True,
+                        rng=Prng(5, stream=STREAM_DROPOUT), worker=worker)
+    target = Target.of(labels, np.arange(labels.size), params.w1.shape[1])
+    log_probs = masked_log_probs(trace.logits, target)
+    return trace, backward(trace, target, log_probs=log_probs, worker=worker)
+
+
+def test_split_products_ignore_the_worker():
+    # pubmed's shape: 300 nodes, 500 features, hidden 32
+    adj, feats, labels, params = tiny_setup(300, 500, 32, 3, 71, extra_edges=600)
+    assert 300 * 500 * 32 >= SPLIT_MACS
+    alone, grad = trained_step(params, adj, feats, labels, None)
+    with ThreadPoolExecutor(1) as worker:
+        paired, paired_grad = trained_step(params, adj, feats, labels, worker)
+        scored = evaluate_on(params, adj, labels, np.arange(300), ax=alone.ax,
+                             worker=worker)
+    assert np.array_equal(paired.pre_hidden, alone.pre_hidden)
+    assert np.array_equal(paired.logits, alone.logits)
+    assert np.array_equal(paired_grad, grad)
+    want = evaluate_on(params, adj, labels, np.arange(300), ax=alone.ax)
+    assert np.array_equal(scored.confusion, want.confusion)
+    assert np.array_equal(scored.errors, want.errors)
+    # a fixed cut need not keep one product's bits, only its value
+    np.testing.assert_allclose(alone.pre_hidden, alone.ax @ params.w0, rtol=1e-12)
+    np.testing.assert_allclose(
+        grad, reference_backward(params, alone, adj, feats, labels,
+                                 np.arange(300)), rtol=1e-12)
+
+
+def test_products_below_the_cutoff_are_single():
+    # 31 x 602 at hidden 32: the worker, which fails every task, is not asked
+    adj, feats, labels, params = tiny_setup(31, 602, 32, 3, 73, extra_edges=60)
+    assert 31 * 602 * 32 < SPLIT_MACS
+    trace, grad = trained_step(params, adj, feats, labels, FailingWorker())
+    assert np.array_equal(trace.pre_hidden, trace.ax @ params.w0)
+    assert np.array_equal(grad, reference_backward(params, trace, adj, feats,
+                                                   labels, np.arange(31)))
+
+
+def test_a_failed_half_is_raised():
+    adj, feats, labels, params = tiny_setup(300, 500, 32, 3, 71, extra_edges=600)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_forward(params, adj, feats, worker=FailingWorker())
+    trace = run_forward(params, adj, feats)
+    target = Target.of(labels, np.arange(300), 3)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        backward(trace, target, log_probs=masked_log_probs(trace.logits, target),
+                 worker=FailingWorker())
 
 
 def test_masked_log_probs_errors():
