@@ -308,38 +308,31 @@ class _Trainer:
             if cfg.kind == "C" else [self.full]
         self.test = Target.of(dataset.labels, dataset.test_nodes,
                               dataset.num_classes)
-        # last, so that nothing after them can raise and leave a worker running
-        self.worker = self._product_worker()
-        self.rng_noise = self._noise_stream()
-
-    def _product_worker(self):
-        """A thread for the first half of each split first-layer product,
-        where one pays: an example's product is split and a CPU is idle."""
-        if max(ex.ax.size for ex in self.examples) * self.cfg.hidden < SPLIT_MACS \
-                or not _idle_core():
-            return None
-        from concurrent.futures import ThreadPoolExecutor  # 9 ms: import late
-        return ThreadPoolExecutor(1, thread_name_prefix="dpgcn-product")
-
-    def _noise_stream(self) -> Prng:
-        """The noise stream, drawn one epoch ahead on a worker thread where
-        that pays: an epoch of at least 2^14 draws (smaller ones lose more
-        to GIL hand-offs than they gain), at most 2^21 (at most two epochs'
-        chunks are held at once, 16 MB each), and a CPU that BLAS leaves
-        idle (else the worker slows BLAS). Either way the bits are the same."""
-        cfg, dim = self.cfg, self.params.flat.size
-        if cfg.is_dp and 2 ** 14 <= cfg.steps_per_epoch * dim <= 2 ** 21 \
-                and _idle_core():
-            return ReadAheadNormals(self.seed, streams.STREAM_NOISE, dim,
-                                    cfg.steps_per_epoch, cfg.max_epochs)
-        return Prng(self.seed, streams.STREAM_NOISE)
+        dim = self.params.flat.size
+        # the noise of an epoch of at least 2^14 draws is drawn one epoch
+        # ahead (smaller ones lose more to GIL hand-offs than they gain), of
+        # at most 2^21 (at most two epochs' chunks are held, 16 MB each)
+        ahead = cfg.is_dp and 2 ** 14 <= cfg.steps_per_epoch * dim <= 2 ** 21
+        split = max(ex.ax.size for ex in self.examples) * cfg.hidden >= SPLIT_MACS
+        # one thread, where a use pays and a CPU is idle (else it slows
+        # BLAS): the read-ahead and the first halves of split products share
+        # it in turn, first in first out, and neither changes a bit
+        self.worker = None
+        if (ahead or split) and _idle_core():
+            from concurrent.futures import ThreadPoolExecutor  # 9 ms: import late
+            # nothing after this can raise and leave the thread running
+            self.worker = ThreadPoolExecutor(1, thread_name_prefix="dpgcn-worker")
+        self.rng_noise = ReadAheadNormals(
+            seed, streams.STREAM_NOISE, dim, cfg.steps_per_epoch,
+            cfg.max_epochs, self.worker) if ahead and self.worker is not None \
+            else Prng(seed, streams.STREAM_NOISE)
 
     def close(self) -> None:
-        """Stop the worker threads; later products run their halves in turn."""
+        """Stop the worker thread; later products run their halves in turn."""
         if isinstance(self.rng_noise, ReadAheadNormals):
             self.rng_noise.close()
         if self.worker is not None:
-            self.worker.shutdown()
+            self.worker.shutdown()  # waits for a chunk the worker has begun
             self.worker = None
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # stream ids let one experiment seed feed several independent consumers
 STREAM_SYNTH = 0
@@ -57,27 +62,24 @@ class ReadAheadNormals(Prng):
     """A Prng stream that serves only ``normal(size, std)``, exactly
     ``chunks * rows`` times, each call's draws bit-identical to Prng's.
 
-    One worker thread draws the next chunk, a fresh (rows, size) array of
-    standard normals, while the caller reads the current one; numpy's fill
-    releases the GIL, so it runs on another core. ``normal`` returns a
-    scaled copy of its row, and a row comes only from a chunk the worker
-    has finished. While the worker draws, it owns the generator, so any
-    other draw would make the stream depend on timing: uniform,
-    permutation, another size and a draw past the total raise ValueError.
-    A worker's exception is raised by every call that needs its chunk.
-    ``close`` stops the worker.
+    The caller's ``worker``, an executor, draws the next chunk, a fresh
+    (rows, size) array of standard normals, while the caller reads the
+    current one; numpy's fill releases the GIL, so it runs on another core.
+    ``normal`` returns a scaled copy of its row, and a row comes only from
+    a chunk the worker has finished. While the worker draws, it owns the
+    generator, so any other draw would make the stream depend on timing:
+    uniform, permutation, another size and a draw past the total raise
+    ValueError. A worker's exception is raised by every call that needs its
+    chunk. ``close`` stops drawing; the worker stays the caller's to stop.
     """
 
     def __init__(self, seed: int, stream: int, size: int, rows: int,
-                 chunks: int):
-        # imported here: it costs about 9 ms, and most processes never need it
-        from concurrent.futures import ThreadPoolExecutor
-
+                 chunks: int, worker: Executor):
         super().__init__(seed, stream)
         self._size, self._left = int(size), int(chunks)
         self._shape = (int(rows), self._size)
         self._rows = iter(())  # nothing to read before chunk 0
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="dpgcn-noise")
+        self._worker = worker
         self._next = self._draw_chunk()
 
     def _draw_chunk(self):
@@ -85,7 +87,7 @@ class ReadAheadNormals(Prng):
         if not self._left:
             return None
         self._left -= 1
-        return self._pool.submit(self._gen.standard_normal, self._shape)
+        return self._worker.submit(self._gen.standard_normal, self._shape)
 
     def _normal(self, size, std: float):
         if size != self._size:
@@ -107,6 +109,8 @@ class ReadAheadNormals(Prng):
         raise ValueError("a read-ahead stream draws only normals")
 
     def close(self) -> None:
-        """Wait for the worker and stop it; later chunks are not drawn."""
+        """Draw no later chunk: one not yet started is cancelled, and the
+        worker's owner waits for one that has when it stops the worker."""
+        if self._next is not None:
+            self._next.cancel()
         self._left, self._next = 0, None
-        self._pool.shutdown(wait=True, cancel_futures=True)

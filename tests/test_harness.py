@@ -7,6 +7,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -829,7 +830,8 @@ def streams_built(monkeypatch):
         def __init__(self, *args):
             super().__init__(*args)
             built.append("ahead")
-            # held, so a stream nobody closed keeps its worker thread
+            # held, and it holds its worker: a worker nobody shut down
+            # keeps its thread
             alive.append(self)
 
     real_prng = harness_mod.Prng
@@ -845,6 +847,21 @@ def streams_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The name of every task given to a worker: "matmul" for the first
+    half of a split product, "standard_normal" for a noise chunk."""
+    names = []
+    real_submit = ThreadPoolExecutor.submit
+
+    def submit(self, fn, *args, **kwargs):
+        names.append(fn.__name__)
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    return names
+
+
 def without_seconds(record) -> dict:
     out = asdict(record)
     for seed in out["seeds"]:
@@ -852,13 +869,20 @@ def without_seconds(record) -> dict:
     return out
 
 
-@pytest.mark.parametrize("kind", sorted(WIDE_RUNS))
-def test_read_ahead_noise_trains_the_same_bits(wide, streams_built, monkeypatch,
-                                               kind):
-    cfg = ExperimentConfig(**WIDE_RUNS[kind])
-    ahead = without_seconds(run_experiment(cfg, dataset=wide))
+# on the reddit shape, noise chunks and product halves share the worker
+SAME_BITS_RUNS = dict(WIDE_RUNS, **{"reddit-B": dict(
+    kind="B", optimizer="adam-dp", sigma=4.0, max_epochs=4, seeds=(0,))})
+
+
+@pytest.mark.parametrize("kind", sorted(SAME_BITS_RUNS))
+def test_read_ahead_noise_trains_the_same_bits(request, streams_built, submitted,
+                                               monkeypatch, kind):
+    dataset = request.getfixturevalue("reddit" if kind == "reddit-B" else "wide")
+    cfg = ExperimentConfig(**SAME_BITS_RUNS[kind])
+    ahead = without_seconds(run_experiment(cfg, dataset=dataset))
+    assert ("matmul" in submitted) == (kind == "reddit-B")
     monkeypatch.setattr(harness_mod, "_idle_core", lambda: False)
-    plain = without_seconds(run_experiment(cfg, dataset=wide))
+    plain = without_seconds(run_experiment(cfg, dataset=dataset))
     seeds = len(cfg.seeds)
     assert streams_built == ["ahead"] * seeds + ["plain"] * seeds
     assert ahead == plain
@@ -930,11 +954,12 @@ def reddit():
     return generate_synthetic(SynthSpec((10,) * 41, 0.30, 0.002, 602, 1.5, seed=11))
 
 
-def product_threads() -> list:
-    return [t for t in threading.enumerate() if t.name.startswith("dpgcn-product")]
+def worker_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("dpgcn-")]
 
 
-def test_trainer_splits_on_a_worker_only_where_it_pays(sbm, reddit, monkeypatch):
+def test_trainer_splits_on_a_worker_only_where_it_pays(sbm, reddit, monkeypatch,
+                                                       submitted):
     def has_worker(dataset, idle, **kw):
         monkeypatch.setattr(harness_mod, "_idle_core", lambda: idle)
         cfg = ExperimentConfig(**dict(WIDE_RUNS["B"], hidden=32, **kw)).finalized()
@@ -946,8 +971,14 @@ def test_trainer_splits_on_a_worker_only_where_it_pays(sbm, reddit, monkeypatch)
 
     assert has_worker(reddit, True)
     assert not has_worker(reddit, False)  # BLAS uses every CPU
-    # lots-reddit's examples: 8 subgraphs of about 51 nodes, 0.6 Mi each
-    assert not has_worker(reddit, True, kind="C", s=8, lot_size=2)
+    # lots-reddit's examples: 8 subgraphs of 30-31 nodes, 0.6 Mi each; its
+    # worker reads the noise ahead and is given no product half
+    monkeypatch.setattr(harness_mod, "_idle_core", lambda: True)
+    submitted.clear()
+    run_experiment(ExperimentConfig(**dict(
+        WIDE_RUNS["B"], hidden=32, kind="C", s=8, lot_size=2, max_epochs=2,
+        seeds=(0,))), dataset=reddit)
+    assert "standard_normal" in submitted and "matmul" not in submitted
     assert not has_worker(sbm, True)
 
 
@@ -964,25 +995,27 @@ def test_no_thread_where_none_pays():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_product_worker_ends_with_every_run(reddit, monkeypatch):
+def test_product_worker_ends_with_every_run(reddit, monkeypatch, submitted):
     monkeypatch.setattr(harness_mod, "_idle_core", lambda: True)
     seen = []
     real_forward = harness_mod.forward
 
     def forward(*args, **kwargs):
-        seen.append(len(product_threads()))
+        seen.append(len(worker_threads()))
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "forward", forward)
     before = threading.active_count()
     cfg = dict(kind="B", optimizer="adam-dp", sigma=4.0, max_epochs=3, seeds=(0,))
     run_experiment(ExperimentConfig(**cfg), dataset=reddit)
-    assert max(seen) == 1 and not product_threads()
+    # noise chunks and product halves, on one thread
+    assert {"matmul", "standard_normal"} <= set(submitted)
+    assert set(seen) == {1} and not worker_threads()
     assert threading.active_count() == before
     diverged = run_experiment(ExperimentConfig(**dict(cfg, sigma=1e300)),
                               dataset=reddit)
     assert diverged.seeds[0].reason == "non-finite optimizer state at epoch 1"
-    assert not product_threads()
+    assert set(seen) == {1} and not worker_threads()
     assert threading.active_count() == before
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -111,14 +112,26 @@ def test_draws_do_not_depend_on_numpy_simd_dispatch():
     assert len(default) == 2 and default == reduced, targets
 
 
-def read_ahead(size=50, rows=3, chunks=4, seed=17, stream=3):
-    return ReadAheadNormals(seed, stream, size, rows, chunks)
+@pytest.fixture
+def pool():
+    """A borrowed one-thread executor, as a trainer lends its worker."""
+    worker = ThreadPoolExecutor(1, thread_name_prefix="dpgcn-borrowed")
+    yield worker
+    worker.shutdown(cancel_futures=True)
 
 
-def test_read_ahead_bitwise_equals_prng_across_chunks():
+def read_ahead(pool, size=50, rows=3, chunks=4, seed=17, stream=3):
+    return ReadAheadNormals(seed, stream, size, rows, chunks, pool)
+
+
+def own_threads() -> set:
+    return {t.name for t in threading.enumerate() if t.name.startswith("dpgcn-")}
+
+
+def test_read_ahead_bitwise_equals_prng_across_chunks(pool):
     # every array is held to the end, so a returned view of a buffer that
     # a later refill overwrote would differ from the reference
-    stream = read_ahead()
+    stream = read_ahead(pool)
     try:
         got = [stream.normal(50, std=0.5 + k) for k in range(12)]
     finally:
@@ -141,8 +154,8 @@ def test_read_ahead_bitwise_equals_prng_across_chunks():
     lambda r: r.normal((50,)),
 ], ids=["uniform", "uniform-50", "permutation", "sample", "scalar-normal",
         "wrong-size", "tuple-size"])
-def test_read_ahead_refuses_every_other_draw(draw):
-    stream = read_ahead()
+def test_read_ahead_refuses_every_other_draw(pool, draw):
+    stream = read_ahead(pool)
     try:
         first = stream.normal(50)
         with pytest.raises(ValueError):
@@ -155,8 +168,8 @@ def test_read_ahead_refuses_every_other_draw(draw):
         stream.close()
 
 
-def test_read_ahead_refuses_a_draw_past_its_total():
-    stream = read_ahead(rows=2, chunks=3)
+def test_read_ahead_refuses_a_draw_past_its_total(pool):
+    stream = read_ahead(pool, rows=2, chunks=3)
     try:
         for _ in range(6):
             stream.normal(50)
@@ -180,7 +193,7 @@ class FailingGenerator:
         return self.gen.standard_normal(size)
 
 
-def test_read_ahead_raises_the_worker_error_on_the_caller(monkeypatch):
+def test_read_ahead_raises_the_worker_error_on_the_caller(pool, monkeypatch):
     real_init = Prng.__init__
 
     def init(self, seed, stream=0):
@@ -188,7 +201,7 @@ def test_read_ahead_raises_the_worker_error_on_the_caller(monkeypatch):
         self._gen = FailingGenerator(self._gen)
 
     monkeypatch.setattr(Prng, "__init__", init)
-    stream = read_ahead(rows=2, chunks=3)
+    stream = read_ahead(pool, rows=2, chunks=3)
     try:
         want = Prng(17, 3)._gen.gen
         assert np.array_equal(stream.normal(50), want.standard_normal(50))
@@ -199,16 +212,27 @@ def test_read_ahead_raises_the_worker_error_on_the_caller(monkeypatch):
                 stream.normal(50)
     finally:
         stream.close()
-    assert not any(t.name.startswith("dpgcn-noise") for t in threading.enumerate())
+    # the stream started no thread of its own, and the error left the
+    # borrowed one working
+    assert own_threads() == {"dpgcn-borrowed_0"}
+    assert pool.submit(int, "7").result() == 7
 
 
-def test_read_ahead_close_stops_the_worker():
-    before = threading.active_count()
-    stream = read_ahead(chunks=100)
-    stream.normal(50)
-    stream.close()
-    assert threading.active_count() == before
+def test_read_ahead_close_stops_the_worker(pool):
+    # close stops the stream's use of the worker; the executor is the
+    # caller's, and keeps running
+    gate = threading.Event()
+    stream = read_ahead(pool, chunks=100)
+    pool.submit(gate.wait, 60)  # runs after chunk 0; chunk 1 waits behind it
+    ref = Prng(17, 3)
+    assert np.array_equal(stream.normal(50), ref.normal(50))
+    stream.close()  # cancels chunk 1, which has not started
+    gate.set()
+    assert pool.submit(int, "7").result() == 7
     # the chunk being read stays readable; the next one is never drawn
-    assert stream.normal(50).shape == stream.normal(50).shape == (50,)
+    for _ in range(2):
+        assert np.array_equal(stream.normal(50), ref.normal(50))
     with pytest.raises(ValueError, match="exhausted"):
         stream.normal(50)
+    # the generator stands where chunk 0 left it
+    assert np.array_equal(stream._gen.standard_normal(8), ref._gen.standard_normal(8))
