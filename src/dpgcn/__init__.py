@@ -21,7 +21,7 @@ from .graph import (build_graph, mask_subgraph, normalize_adjacency,
 from .harness import (ConfigError, ExperimentConfig, ResultsRecord,
                       SeedOutcome, TrainingDiverged, early_stop_check,
                       emit_results, hard_case_overlap, load_config,
-                      parse_config_text, resolve_sigma, run_experiment)
+                      parse_config_text, plan_privacy, run_experiment)
 from .model import (ForwardTrace, GcnParams, Metrics, Target, backward,
                     evaluate, forward, init_params, macro_f1,
                     masked_cross_entropy, masked_log_probs)

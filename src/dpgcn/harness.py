@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as streams
-from .accounting import (DEFAULT_MOMENT_ORDERS, AccountantLedger,
-                         calibrate_noise, privacy_spent)
+from .accounting import AccountantLedger, calibrate_noise, privacy_spent
 from .data import Dataset, load_dataset
 from .dp import (AdamState, DpNoiseSpec, adam_step, noisy_lot_gradient,
                  sample_lot, sgd_step)
@@ -281,8 +280,9 @@ class _Trainer:
     """One seed's training state; every kind trains on ``self.examples``."""
 
     def __init__(self, dataset: Dataset, cfg: ExperimentConfig, seed: int,
-                 sigma: float | None):
+                 plan: AccountantLedger | None):
         self.ds, self.cfg, self.seed = dataset, cfg, seed
+        self.record = plan.records[0] if plan else None  # every noised step's q, sigma
         self.rng_drop = Prng(seed, streams.STREAM_DROPOUT)
         self.rng_lot = Prng(seed, streams.STREAM_LOT)
         nodes = dataset.train_nodes
@@ -299,7 +299,7 @@ class _Trainer:
                 f"hidden={cfg.hidden}, num_classes={dataset.num_classes}: {exc}") from None
         self.adam = AdamState.zeros(self.params.flat.size) \
             if cfg.optimizer.startswith("adam") else None
-        self.noise = DpNoiseSpec(cfg.clip_norm, sigma or 0.0) if cfg.is_dp else None
+        self.noise = DpNoiseSpec(cfg.clip_norm, self.record.sigma) if plan else None
         self.ledger = AccountantLedger()
         # the full graph: validation and test, and kinds A and B's one example
         self.full = Example.of(dataset, nodes)
@@ -365,8 +365,7 @@ class _Trainer:
                 lot = sample_lot(n, cfg.lot_size, self.rng_lot)
                 grads = [self._gradient(int(k), epoch) for k in lot]
                 grad = noisy_lot_gradient(grads, self.noise, self.rng_noise)
-                # the q resolve_sigma calibrates with
-                self.ledger.append(cfg.lot_size / cfg.s, self.noise.noise_multiplier)
+                self.ledger.append(self.record.q, self.record.sigma)
                 self._step(grad)
         if self.adam is not None:
             # v >= 0, so its max is finite only if every entry is: an
@@ -389,9 +388,9 @@ class _Trainer:
 
 
 def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
-                       sigma: float | None) -> SeedOutcome:
+                       plan: AccountantLedger | None) -> SeedOutcome:
     start = time.perf_counter()
-    trainer = _Trainer(dataset, cfg, seed, sigma)
+    trainer = _Trainer(dataset, cfg, seed, plan)
     history: list[float] = []
     best_params = None
     try:
@@ -406,35 +405,33 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
                     break
     finally:
         trainer.close()
+    if plan and trainer.ledger != plan:  # steps the claim does not cover
+        raise AssertionError("the seed's ledger differs from the privacy plan")
     eval_params = trainer.params if best_params is None else best_params
     metrics = trainer.metrics(eval_params, trainer.test)
     if not metrics.finite:  # weights too large for the forward pass
         raise TrainingDiverged(f"non-finite logits at epoch {epoch}")
-    outcome = SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
-                          f1_macro=macro_f1(metrics.confusion),
-                          epochs=epoch,
-                          seconds=time.perf_counter() - start,
-                          final_loss=trainer.last_loss,
-                          errors=[int(i) for i in metrics.errors])
-    if cfg.is_dp:
-        eps, order = privacy_spent(trainer.ledger, cfg.delta)
-        if cfg.target_epsilon is not None and eps > cfg.target_epsilon:
-            raise RuntimeError(f"epsilon {eps} exceeds target {cfg.target_epsilon}")
-        outcome.epsilon, outcome.moment_order = eps, order
-    return outcome
+    return SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
+                       f1_macro=macro_f1(metrics.confusion), epochs=epoch,
+                       seconds=time.perf_counter() - start,
+                       final_loss=trainer.last_loss,
+                       errors=[int(i) for i in metrics.errors])
 
 
-def resolve_sigma(cfg: ExperimentConfig) -> float | None:
-    """The noise multiplier a finalized config implies (None if non-DP)."""
+def plan_privacy(cfg: ExperimentConfig) -> AccountantLedger | None:
+    """The ledger every seed of a finalized DP config composes, None if non-DP:
+    one record of q = lot_size / s, sigma (given or calibrated) and all
+    max_epochs * steps_per_epoch steps, as DP runs never stop early."""
     if not cfg.is_dp:
         return None
-    if cfg.sigma is not None:
-        return cfg.sigma
-    try:
-        return calibrate_noise(cfg.target_epsilon, cfg.delta, cfg.lot_size / cfg.s,
-                               cfg.max_epochs * cfg.steps_per_epoch)
+    q, steps = cfg.lot_size / cfg.s, cfg.max_epochs * cfg.steps_per_epoch
+    try:  # a given sigma is positive, so `or` keeps it
+        sigma = cfg.sigma or calibrate_noise(cfg.target_epsilon, cfg.delta, q, steps)
     except ValueError as exc:  # a target no noise multiplier up to 1e6 reaches
         raise ConfigError(str(exc)) from exc
+    plan = AccountantLedger()
+    plan.append(q, sigma, steps)
+    return plan
 
 
 @cache
@@ -517,13 +514,18 @@ def run_experiment(config: ExperimentConfig,
     usable = _training_count(cfg, dataset.train_nodes.size)
     if cfg.kind == "C" and cfg.s > usable:
         raise ConfigError(f"s={cfg.s} exceeds the {usable} usable training nodes")
-    sigma = resolve_sigma(cfg)
+    plan = plan_privacy(cfg)  # the claim fails closed, before any seed trains
+    eps, order = privacy_spent(plan, cfg.delta) if plan else (None, None)
+    if plan and not (math.isfinite(eps) and eps <= (cfg.target_epsilon or math.inf)):
+        raise ConfigError(f"epsilon {eps} of {plan.records[0]} exceeds " + (
+            f"target {cfg.target_epsilon}" if cfg.target_epsilon else "any finite bound"))
     outcomes = []
     with one_blas_thread():  # bits and noise stream then ignore the caller's count
         for seed in cfg.seeds:
             try:  # a diverging seed fails with a reason; numpy need not warn too
                 with np.errstate(all="ignore"):
-                    outcomes.append(_train_single_seed(dataset, cfg, seed, sigma))
+                    outcomes.append(replace(_train_single_seed(dataset, cfg, seed, plan),
+                                            epsilon=eps, moment_order=order))
             except TrainingDiverged as exc:
                 outcomes.append(SeedOutcome(seed=seed, failed=True, reason=str(exc)))
         fingerprint = host_fingerprint()
@@ -540,13 +542,12 @@ def run_experiment(config: ExperimentConfig,
     aggregate = {
         "f1_micro_mean": micro_mean, "f1_micro_std": micro_std,
         "f1_macro_mean": macro_mean, "f1_macro_std": macro_std,
-        "epsilon": max((o.epsilon for o in good if o.epsilon is not None),
-                       default=None),
+        "epsilon": eps if good else None,
         "seeds_failed": sum(o.failed for o in outcomes),
     }
     import scipy  # loaded by normalize_adjacency, so this costs no import time
     metadata = {
-        "sigma": sigma,
+        "sigma": plan.records[0].sigma if plan else None,
         "test_metric_at": "best_val" if cfg.early_stopping else "final_epoch",
         "dataset_name": dataset.name,
         # what epsilon covers (None for the non-private kind A)
@@ -554,11 +555,10 @@ def run_experiment(config: ExperimentConfig,
         "privacy_unit": {"B": "the whole training graph as one example",
                          "C": "one subgraph of a fixed partition"}.get(cfg.kind),
         "sampler": "fixed-size lots, accounted as Poisson" if cfg.is_dp else None,
-        # a seed's epsilon is minimized at an end of the moment-order grid,
+        # the run's epsilon is minimized at an end of the moment-order grid,
         # so a wider grid could report a smaller epsilon
-        "grid_edge": any(o.moment_order in (DEFAULT_MOMENT_ORDERS[0],
-                                            DEFAULT_MOMENT_ORDERS[-1])
-                         for o in good) if cfg.is_dp else None,
+        "grid_edge": order in (plan.moment_orders[0], plan.moment_orders[-1])
+        if plan else None,
         "versions": {"dpgcn": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         # trained bits also depend on these: compare runs only where they agree

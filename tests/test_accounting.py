@@ -208,8 +208,8 @@ def test_closed_form_monotone_and_amplified(q, sigma, lam, q_factor,
 def test_import_loads_no_quadrature_or_special_functions():
     # scipy adds import time and memory to every process, and the accountant
     # needs none of it: the graph build imports scipy.sparse when it runs.
-    # concurrent.futures costs about 9 ms; only a run that reads its noise
-    # ahead imports it
+    # concurrent.futures costs about 9 ms; only a run that builds the
+    # trainer's worker thread imports it
     code = ("import sys, dpgcn, dpgcn.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] "
             "in ('scipy', 'concurrent')))")

@@ -163,6 +163,20 @@ def test_run_unreachable_target_epsilon_exits_2(synth_dir, tmp_path, capsys):
     assert "config error: epsilon 1e-06 unreachable" in capsys.readouterr().err
 
 
+def test_run_without_finite_epsilon_exits_2(synth_dir, tmp_path, capsys):
+    # sigma = 1e-200 gives epsilon = +inf: refused before training, not
+    # reported as a result
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        f"dataset = {synth_dir}\nkind = C\noptimizer = adam-dp\ns = 4\n"
+        "lot_size = 1\nsigma = 1e-200\nmax_epochs = 2\nseeds = 0\n")
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert ("config error: epsilon inf of LedgerRecord(q=0.25, sigma=1e-200, "
+            "steps=8) exceeds any finite bound" in capsys.readouterr().err)
+    assert not (out / "results.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["B", "C"])
 def test_run_dp_with_early_stopping_exits_2(synth_dir, tmp_path, capsys, kind):
     config = tmp_path / "exp.cfg"

@@ -448,7 +448,7 @@ assert main(["split", "--dataset", os.path.join(tmp, "synth"), "--s", "2",
              "--out", os.path.join(tmp, "split")]) == 0
 print(scipy_modules())
 cfg = ExperimentConfig(kind="C", optimizer="adam", s=3, seeds=(0,)).finalized()
-_Trainer(ds, cfg, seed=0, sigma=None)
+_Trainer(ds, cfg, seed=0, plan=None)
 print("scipy.sparse" in scipy_modules())
 """
 

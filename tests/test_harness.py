@@ -21,14 +21,15 @@ import dpgcn.dp as dp_mod
 import dpgcn.harness as harness_mod
 import dpgcn.model as model_mod
 from dpgcn import rng as streams
-from dpgcn.accounting import AccountantLedger, calibrate_noise, privacy_spent
+from dpgcn.accounting import (AccountantLedger, LedgerRecord, calibrate_noise,
+                              privacy_spent)
 from dpgcn.cli import main
 from dpgcn.data import SynthSpec, generate_synthetic, load_dataset, save_dataset
 from dpgcn.graph import normalize_adjacency, random_partition, spmm
 from dpgcn.harness import (ConfigError, ExperimentConfig, ResultsRecord,
                            SeedOutcome, TrainingDiverged, early_stop_check,
                            emit_results, hard_case_overlap, parse_config_text,
-                           resolve_sigma, run_experiment, split_dataset)
+                           plan_privacy, run_experiment, split_dataset)
 from dpgcn.rng import Prng
 
 
@@ -273,29 +274,30 @@ def test_emit_json_round_trip(tmp_path):
     assert loaded["aggregate"]["epsilon"] == record.aggregate["epsilon"]
 
 
-# ---- resolve_sigma ----
+# ---- plan_privacy ----
 
-def test_resolve_sigma_non_dp_none():
-    assert resolve_sigma(cfg_a().finalized()) is None
+def test_plan_privacy_non_dp_none():
+    assert plan_privacy(cfg_a().finalized()) is None
 
 
-def test_resolve_sigma_passthrough():
+def test_plan_privacy_passthrough():
     cfg = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=7.25).finalized()
-    assert resolve_sigma(cfg) == 7.25
+    assert plan_privacy(cfg).records == [LedgerRecord(1.0, 7.25, 500)]
 
 
-def test_resolve_sigma_calibrates_with_lot_ratio():
+def test_plan_privacy_calibrates_with_lot_ratio():
+    # s = 4, L = 1: four lots an epoch, each at q = 1/4
     cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=1,
                            target_epsilon=4.0, max_epochs=5).finalized()
     want = calibrate_noise(4.0, cfg.delta, 0.25, 5 * 4)
-    assert resolve_sigma(cfg) == want
+    assert plan_privacy(cfg).records == [LedgerRecord(0.25, want, 5 * 4)]
 
 
-def test_resolve_sigma_full_graph_ratio_is_one():
+def test_plan_privacy_full_graph_ratio_is_one():
     cfg = ExperimentConfig(kind="B", optimizer="adam-dp", target_epsilon=2.0,
                            max_epochs=100).finalized()
     want = calibrate_noise(2.0, cfg.delta, 1.0, 100)
-    assert resolve_sigma(cfg) == want
+    assert plan_privacy(cfg).records == [LedgerRecord(1.0, want, 100)]
 
 
 # ---- run_experiment ----
@@ -321,19 +323,30 @@ def test_run_aggregate_recomputable(sbm):
     assert record.aggregate["f1_macro_mean"] == float(macros.mean())
 
 
-def test_run_b_epsilon_matches_accountant_exactly(sbm):
-    cfg = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0,
-                           max_epochs=10, seeds=(0, 1))
-    record = run_experiment(cfg, dataset=sbm)
+def assert_seeds_spent(record, q, sigma, steps):
+    # every seed reports what a cold accountant gives for the run's steps
     ledger = AccountantLedger()
-    ledger.append(q=1.0, sigma=2.0, steps=10)
+    ledger.append(q=q, sigma=sigma, steps=steps)
     want_eps, want_order = privacy_spent(ledger, 1e-5)
     for o in record.seeds:
         assert o.epsilon == want_eps
         assert o.moment_order == want_order
     assert record.aggregate["epsilon"] == want_eps
     assert record.metadata["test_metric_at"] == "final_epoch"
-    assert record.metadata["sigma"] == 2.0
+    assert record.metadata["sigma"] == sigma
+
+
+def test_run_b_epsilon_matches_accountant_exactly(sbm):
+    cfg = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0,
+                           max_epochs=10, seeds=(0, 1))
+    assert_seeds_spent(run_experiment(cfg, dataset=sbm), 1.0, 2.0, 10)
+
+
+def test_run_c_epsilon_matches_accountant_exactly(sbm):
+    # s = 4, L = 2: two lots an epoch, each at q = 1/2
+    cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=2,
+                           sigma=2.0, max_epochs=10, seeds=(0, 1))
+    assert_seeds_spent(run_experiment(cfg, dataset=sbm), 0.5, 2.0, 2 * 10)
 
 
 def test_run_c_non_dp(sbm):
@@ -355,25 +368,51 @@ def test_run_c_dp_with_target_epsilon(sbm):
         calibrate_noise(4.0, 1e-5, 0.25, 20))
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
-def test_run_c_tiny_sigma_reports_infinite_epsilon(sbm):
-    # the accountant's terms overflow at this sigma; epsilon is +inf, not nan
+@pytest.fixture
+def no_trainer(monkeypatch):
+    """Fails the test if a run builds a trainer."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trainer was built")
+
+    monkeypatch.setattr(harness_mod, "_Trainer", refuse)
+
+
+def test_run_c_tiny_sigma_refuses_infinite_epsilon(sbm, no_trainer):
+    # the accountant's terms overflow at this sigma: a run with no finite
+    # guarantee fails closed before any seed trains
     cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=1,
                            sigma=1e-200, max_epochs=1, seeds=(0, 1))
-    record = run_experiment(cfg, dataset=sbm)
-    assert [o.epsilon for o in record.seeds] == [float("inf")] * 2
-    assert record.aggregate["epsilon"] == float("inf")
+    with pytest.raises(ConfigError, match="epsilon inf .* exceeds any finite bound"):
+        run_experiment(cfg, dataset=sbm)
 
 
-def test_run_refuses_epsilon_above_target(sbm, monkeypatch):
+def test_run_refuses_epsilon_above_target(sbm, monkeypatch, no_trainer):
     calibrated = harness_mod.calibrate_noise
     monkeypatch.setattr(harness_mod, "calibrate_noise",
                         lambda *args: calibrated(*args) / 2)
     cfg = ExperimentConfig(kind="B", optimizer="adam-dp", target_epsilon=2.0,
                            max_epochs=5, seeds=(0,))
-    with pytest.raises(RuntimeError, match="exceeds target") as exc:
+    with pytest.raises(ConfigError, match="exceeds target 2.0"):
         run_experiment(cfg, dataset=sbm)
-    assert not isinstance(exc.value, TrainingDiverged)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="B", sigma=2.0),
+    dict(kind="C", s=4, lot_size=2, sigma=2.0),
+])
+def test_run_checks_each_seed_against_the_plan(sbm, monkeypatch, kw):
+    # a plan one step short of what the seed trains is an invariant broken
+    real = harness_mod.plan_privacy
+
+    def short(cfg):
+        plan = real(cfg)
+        plan.records[0].steps -= 1
+        return plan
+
+    monkeypatch.setattr(harness_mod, "plan_privacy", short)
+    cfg = ExperimentConfig(optimizer="adam-dp", max_epochs=3, seeds=(0,), **kw)
+    with pytest.raises(AssertionError, match="differs from the privacy plan"):
+        run_experiment(cfg, dataset=sbm)
 
 
 def test_run_rerun_bitwise_identical(sbm):
@@ -417,10 +456,10 @@ def test_run_seed_isolation(sbm, monkeypatch):
     clean = run_experiment(cfg, dataset=sbm)
     original = harness_mod._train_single_seed
 
-    def sabotaged(dataset, config, seed, sigma):
+    def sabotaged(dataset, config, seed, plan):
         if seed == 1:
             raise TrainingDiverged("injected failure")
-        return original(dataset, config, seed, sigma)
+        return original(dataset, config, seed, plan)
 
     monkeypatch.setattr(harness_mod, "_train_single_seed", sabotaged)
     record = run_experiment(cfg, dataset=sbm)
@@ -441,7 +480,7 @@ def test_run_c_rejects_oversized_s(sbm):
 
 def test_train_fraction_subsamples_only_train(sbm):
     cfg = cfg_a(train_fraction=0.5, seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=None)
     assert trainer.train_nodes.size == 30
     assert np.isin(trainer.train_nodes, sbm.train_nodes).all()
     record = run_experiment(cfg_a(train_fraction=0.5, seeds=(0,)), dataset=sbm)
@@ -451,7 +490,7 @@ def test_train_fraction_subsamples_only_train(sbm):
 def test_trainer_ledger_counts_noise_steps(sbm):
     cfg = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0,
                            max_epochs=10, seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=2.0)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     for epoch in range(1, 4):
         trainer.run_epoch(epoch)
     assert trainer.ledger.total_steps == 3
@@ -460,7 +499,7 @@ def test_trainer_ledger_counts_noise_steps(sbm):
 
     cfg_c = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=2,
                              sigma=2.0, max_epochs=10, seeds=(0,)).finalized()
-    trainer_c = harness_mod._Trainer(sbm, cfg_c, seed=0, sigma=2.0)
+    trainer_c = harness_mod._Trainer(sbm, cfg_c, seed=0, plan=plan_privacy(cfg_c))
     trainer_c.run_epoch(1)
     trainer_c.run_epoch(2)
     # two lots of 2 subgraphs per epoch, each lot one noise draw
@@ -477,7 +516,7 @@ def test_trainer_ledger_counts_noise_steps(sbm):
 def test_training_builds_no_sparse_matrix(sbm, monkeypatch, kw):
     # every adjacency is built with the trainer, none per step
     cfg = ExperimentConfig(max_epochs=10, seeds=(0,), **kw).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=cfg.sigma)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     built = []
 
     class CountingCsr(sp.csr_matrix):
@@ -511,7 +550,7 @@ def test_training_aggregates_features_once_per_example(sbm, monkeypatch, kw):
 
     for module in (model_mod, harness_mod):
         monkeypatch.setattr(module, "spmm", counting)
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=cfg.sigma)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     for epoch in range(1, 4):
         trainer.run_epoch(epoch)
     trainer.val_score()
@@ -527,7 +566,7 @@ def test_dp_step_makes_two_sparse_products_per_example(sbm, monkeypatch):
     # cached product, so one lot of L = 2 examples makes 4 calls
     cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=2, lot_size=2,
                            sigma=2.0, max_epochs=1, seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=cfg.sigma)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     calls = []
 
     def counting(adj, dense):
@@ -544,7 +583,7 @@ def test_kind_c_examples_hold_their_groups_rows(sbm):
     # each subgraph example carries A X for the dataset's feature rows and
     # the label rows of its group of the seed's split, in node order
     cfg = ExperimentConfig(kind="C", optimizer="adam", s=4, seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=None)
     groups = random_partition(trainer.train_nodes, cfg.s,
                               Prng(0, streams.STREAM_PARTITION))
     assert len(trainer.examples) == len(groups)
@@ -561,7 +600,7 @@ def test_cli_split_writes_the_pieces_kind_c_trains_on(sbm, tmp_path):
                  "--seed", "3", "--out", str(tmp_path / "split")]) == 0
     cfg = ExperimentConfig(kind="C", optimizer="adam", s=4, seeds=(3,)).finalized()
     trainer = harness_mod._Trainer(load_dataset(str(tmp_path / "data")), cfg,
-                                   seed=3, sigma=None)
+                                   seed=3, plan=None)
     assert len(trainer.examples) == 4
     for k, ex in enumerate(trainer.examples):
         piece = load_dataset(str(tmp_path / "split" / f"subgraph_{k:03d}"))
@@ -624,7 +663,7 @@ def test_dp_step_computes_one_log_softmax_per_example(sbm, monkeypatch):
     # the loss and its gradient share one masked log-softmax per example
     cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=2, lot_size=2,
                            sigma=2.0, max_epochs=1, seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=2.0)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     calls = []
     real = model_mod._log_softmax
 
@@ -655,7 +694,7 @@ def test_run_without_early_stopping_needs_no_validation_nodes(sbm, kw):
 
 def test_trainer_non_dp_keeps_empty_ledger(sbm):
     cfg = cfg_a(seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=None)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=None)
     trainer.run_epoch(1)
     assert trainer.ledger.total_steps == 0
 
@@ -684,7 +723,7 @@ def test_dp_step_shape_per_example_and_per_lot(sbm, monkeypatch):
     # read these names
     cfg = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=2,
                            sigma=2.0, max_epochs=1, seeds=(0,)).finalized()
-    trainer = harness_mod._Trainer(sbm, cfg, seed=0, sigma=2.0)
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     calls = Counter()
 
     def counting(owner, name):
@@ -918,13 +957,10 @@ def test_run_restores_the_callers_blas_thread_count(sbm, wide, monkeypatch):
             WIDE_RUNS["B"], sigma=1e300, seeds=(0,))), dataset=wide)
         assert diverged.seeds[0].reason == "non-finite optimizer state at epoch 1"
         assert threads() == 2
-        calibrated = harness_mod.calibrate_noise
-        monkeypatch.setattr(harness_mod, "calibrate_noise",
-                            lambda *args: calibrated(*args) / 2)
-        with pytest.raises(RuntimeError, match="exceeds target"):
-            run_experiment(ExperimentConfig(kind="B", optimizer="adam-dp",
-                                            target_epsilon=2.0, max_epochs=5,
-                                            seeds=(0,)), dataset=sbm)
+        # raised while training's pin holds: weights no array can hold
+        with pytest.raises(ConfigError, match="cannot build weights"):
+            run_experiment(cfg_a(hidden=10**15, max_epochs=1, seeds=(0,)),
+                           dataset=sbm)
         assert threads() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
@@ -934,7 +970,7 @@ def test_trainer_reads_noise_ahead_only_where_it_pays(sbm, wide, monkeypatch):
     def stream(dataset, idle, **kw):
         monkeypatch.setattr(harness_mod, "_idle_core", lambda: idle)
         cfg = ExperimentConfig(**dict(WIDE_RUNS["B"], **kw)).finalized()
-        trainer = harness_mod._Trainer(dataset, cfg, seed=0, sigma=cfg.sigma)
+        trainer = harness_mod._Trainer(dataset, cfg, seed=0, plan=plan_privacy(cfg))
         trainer.close()
         return type(trainer.rng_noise)
 
@@ -963,7 +999,7 @@ def test_trainer_splits_on_a_worker_only_where_it_pays(sbm, reddit, monkeypatch,
     def has_worker(dataset, idle, **kw):
         monkeypatch.setattr(harness_mod, "_idle_core", lambda: idle)
         cfg = ExperimentConfig(**dict(WIDE_RUNS["B"], hidden=32, **kw)).finalized()
-        trainer = harness_mod._Trainer(dataset, cfg, seed=0, sigma=cfg.sigma)
+        trainer = harness_mod._Trainer(dataset, cfg, seed=0, plan=plan_privacy(cfg))
         built = trainer.worker is not None
         trainer.close()
         assert trainer.worker is None
