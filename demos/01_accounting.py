@@ -8,16 +8,16 @@ delta), and how to go the other way with noise calibration.
 """
 
 from dpgcn.accounting import (AccountantLedger, calibrate_noise,
-                              delta_from_eps, gaussian_log_moment,
-                              log_moment, privacy_spent)
+                              delta_from_eps, log_moment, privacy_spent)
 
 # ---------------------------------------------------------------------------
 # One step of the Gaussian mechanism at full batch (q = 1) has the exact
-# log-moment lambda (lambda + 1) / (2 sigma^2) of order lambda.
+# log-moment lambda (lambda + 1) / (2 sigma^2) of order lambda, which
+# log_moment returns at q = 1.
 sigma = 4.0
 for lam in (1, 2, 8, 32):
     print(f"order {lam:2d}: log moment per step = "
-          f"{gaussian_log_moment(sigma, lam):.6f}")
+          f"{log_moment(1.0, sigma, lam):.6f}")
 
 # Subsampling a fraction q < 1 of the data each step shrinks the moment;
 # at integer orders the accountant sums its exact binomial expansion.
@@ -34,8 +34,12 @@ eps, order = privacy_spent(ledger, delta=1e-5)
 print(f"\n2000 steps at q=1, sigma=4: epsilon = {eps:.4f} "
       f"(best moment order {order})")
 
-# The same machinery answers "what delta does epsilon = 2 cost?"
-print(f"delta at epsilon=140: {delta_from_eps(ledger, 140.0):.3e}")
+# The same machinery answers "what delta does epsilon cost?" This ledger
+# spends epsilon 136.5 at delta = 1e-5, so at epsilon = 2 the tail bound
+# gives delta = 1, no guarantee at all; at epsilon = 140 it gives less
+# than 1e-5.
+for target in (2.0, 140.0):
+    print(f"delta at epsilon={target:g}: {delta_from_eps(ledger, target):.3e}")
 
 # ---------------------------------------------------------------------------
 # More noise, less epsilon: the classic trade-off table at q = 1.

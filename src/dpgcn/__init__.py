@@ -10,8 +10,8 @@ directory format and synthetic generator (data), and the experiment driver
 __version__ = "0.2.0"  # before the submodules: harness records it
 
 from .accounting import (AccountantLedger, calibrate_noise, compose,
-                         delta_from_eps, eps_from_delta, gaussian_log_moment,
-                         log_moment, privacy_spent, subsampled_log_moment)
+                         delta_from_eps, eps_from_delta, log_moment,
+                         privacy_spent, subsampled_log_moment)
 from .data import (Dataset, DatasetError, SynthSpec, generate_synthetic,
                    load_dataset, save_dataset)
 from .dp import (AdamState, DpNoiseSpec, adam_step, clip_gradient,

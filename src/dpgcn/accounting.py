@@ -37,11 +37,13 @@ class AccountantLedger:
     moment_orders: tuple[int, ...] = DEFAULT_MOMENT_ORDERS
 
     def __post_init__(self):
+        orders = self.moment_orders
         try:
-            grid = _order_grid(self.moment_orders)
+            grid = _grid_tables(orders if type(orders) is tuple
+                                else tuple(np.ravel(orders).tolist()))
         except ValueError:
             raise ValueError("moment orders must be nonempty positive integers") from None
-        if not grid.ascending:
+        if not grid.ascending or (type(orders) is not tuple and np.ndim(orders) != 1):
             raise ValueError("moment orders must be strictly increasing")
         self.moment_orders = grid.orders  # hashable: the grid cache's key
 
@@ -62,42 +64,24 @@ class AccountantLedger:
         return sum(r.steps for r in self.records)
 
 
-def gaussian_log_moment(sigma: float, lam: float) -> float:
-    """Closed-form log moment at q = 1: lam (lam + 1) / (2 sigma^2)."""
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
-    denom = 2.0 * sigma * sigma
-    if denom == 0.0:  # sigma below about 1e-162: +inf at every order lam >= 1
-        return lam * math.inf
-    return lam * (lam + 1.0) / denom
-
-
-def _order_grid(lam) -> SimpleNamespace:
-    """The cached tables of a scalar, a tuple or an array of orders lam."""
-    if type(lam) is tuple:
-        return _grid_tables(lam, None)
-    lam = np.asarray(lam)
-    return _grid_tables(tuple(lam.ravel().tolist()), lam.shape)
-
-
 @lru_cache(maxsize=32)
-def _grid_tables(orders: tuple, shape: tuple[int, ...] | None) -> SimpleNamespace:
-    """Built once per grid: what the expansion needs of the orders alone, as
-    constants of the grid like a log-factorial table. Row i of each table
-    is a = lam[i] + 1 over k = 2..max(lam)+1; ``outside`` marks k > a."""
-    lams = np.asarray(orders) if shape is None else np.reshape(orders, shape)
-    flat = lams.ravel().tolist()  # in Python: cheaper than a first numpy reduction
-    if min(flat) < 1:
+def _grid_tables(orders: tuple) -> SimpleNamespace:
+    """Built once per tuple of orders: what the expansion needs of the
+    orders alone, as constants of the grid like a log-factorial table. Row
+    i of each table is a = orders[i] + 1 over k = 2..max(orders)+1;
+    ``outside`` marks k > a."""
+    lams = np.asarray(orders)
+    if min(orders) < 1:
         raise ValueError("moment order must be at least 1")
-    if any(o % 1 for o in flat):
+    if any(o % 1 for o in orders):
         raise ValueError("moment orders must be integers")
-    ints = tuple(map(int, flat))
-    a = lams.astype(np.int64)[..., None] + 1
+    ints = tuple(map(int, orders))
+    a = lams.astype(np.int64)[:, None] + 1
     log_fact = np.array([math.lgamma(n + 1.0) for n in range(max(ints) + 2)])
     k = np.arange(2, max(ints) + 2)
     grid = SimpleNamespace(
         orders=ints, orders_f=lams.astype(np.float64),
-        ascending=lams.ndim == 1 and all(i < j for i, j in zip(ints, ints[1:])),
+        ascending=all(i < j for i, j in zip(ints, ints[1:])),
         k=k.astype(np.float64), k_k1=(k * (k - 1)).astype(np.float64),
         log_binom=log_fact[a] - log_fact[k] - log_fact[a - k],
         a_minus_k=(a - k).astype(np.float64), outside=k > a)
@@ -108,39 +92,44 @@ def _grid_tables(orders: tuple, shape: tuple[int, ...] | None) -> SimpleNamespac
 
 
 def log_moment(q: float, sigma: float, lam):
-    """Per-step log moment at integer order lam, or at each order of an
-    array lam: the closed form at q = 1, and below it the exact expansion
-    (Mironov, Talwar & Zhang 2019). With mu = N(0, sigma^2),
-    nu = (1-q) mu + q N(1, sigma^2) and a = lam + 1, binomially expanding
-    alpha = log E_mu[(nu/mu)^a] gives
+    """Per-step log moment at integer order lam, or at each order of a 1-D
+    sequence lam: the closed form lam (lam + 1) / (2 sigma^2) at q = 1,
+    and below it the exact expansion (Mironov, Talwar & Zhang 2019). With
+    mu = N(0, sigma^2), nu = (1-q) mu + q N(1, sigma^2) and a = lam + 1,
+    binomially expanding alpha = log E_mu[(nu/mu)^a] gives
     alpha = log1p(sum_{k=2..a} C(a,k) (1-q)^(a-k) q^k expm1((k^2-k)/(2 sigma^2))).
     Every term is positive, so the sum is taken in log space with nothing
     to cancel; log expm1(x) = x + log(-expm1(-x)) neither overflows at tiny
-    sigma nor underflows at huge sigma. An array lam gives one table row
-    per order (see _grid_tables); each cell sums in a fixed order.
+    sigma nor underflows at huge sigma. Below q = 1 each order is one table
+    row (see _grid_tables), summed in a fixed order.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("sampling ratio must be in (0, 1]")
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    grid = _order_grid(lam)
-    if q == 1.0:
-        return gaussian_log_moment(sigma, grid.orders_f)
-    # at extreme sigma, x (tiny sigma) or 2 sigma^2 (huge sigma) overflows to inf
+    if type(lam) is not tuple and np.ndim(lam) > 1:  # compose passes a tuple
+        raise ValueError("moment orders must be one order or a 1-D sequence")
+    grid = _grid_tables(lam if type(lam) is tuple else tuple(np.ravel(lam).tolist()))
+    # at extreme sigma, x (tiny sigma) or 2 sigma^2 (huge sigma) overflows to
+    # inf, and below sigma ~ 1e-162 2 sigma^2 is 0: alpha is then +inf
     with np.errstate(divide="ignore", over="ignore"):
-        x = grid.k_k1 / (2.0 * sigma * sigma)
-        log_terms = grid.log_binom + grid.k * math.log(q)
-        log_terms += x
-        log_terms += np.log(-np.expm1(-x))
-        log_terms += grid.a_minus_k * math.log1p(-q)
-        log_terms[grid.outside] = -np.inf  # k > a is outside the row
-        # the shift is kept finite, as +-inf would give inf - inf = nan: a +inf
-        # term gives alpha = +inf, and a row of -inf terms alpha = log1p(0) = 0
-        big = np.finfo(np.float64).max
-        top = np.maximum(np.minimum(log_terms.max(axis=-1, keepdims=True), big), -big)
-        d = log_terms - top  # exp is 0 below -746, and numpy's exp is slow there
-        terms = np.exp(d, out=np.zeros_like(d), where=d > -746.0)
-        return np.logaddexp(0.0, top[..., 0] + np.log(terms.sum(-1)))
+        if q == 1.0:
+            alpha = grid.orders_f * (grid.orders_f + 1.0) / (2.0 * sigma * sigma)
+        else:
+            x = grid.k_k1 / (2.0 * sigma * sigma)
+            log_terms = grid.log_binom + grid.k * math.log(q)
+            log_terms += x
+            log_terms += np.log(-np.expm1(-x))
+            log_terms += grid.a_minus_k * math.log1p(-q)
+            log_terms[grid.outside] = -np.inf  # k > a is outside the row
+            # the shift is kept finite, as +-inf would give inf - inf = nan: a +inf
+            # term gives alpha = +inf, and a row of -inf terms alpha = log1p(0) = 0
+            big = np.finfo(np.float64).max
+            top = np.maximum(np.minimum(log_terms.max(axis=-1, keepdims=True), big), -big)
+            d = log_terms - top  # exp is 0 below -746, and numpy's exp is slow there
+            terms = np.exp(d, out=np.zeros_like(d), where=d > -746.0)
+            alpha = np.logaddexp(0.0, top[..., 0] + np.log(terms.sum(-1)))
+    return alpha if type(lam) is tuple or np.ndim(lam) else alpha[0]
 
 
 # a memo of scalar queries: no accountant path consults it; perfbench reads
@@ -165,7 +154,7 @@ def privacy_spent(ledger: AccountantLedger, delta: float) -> tuple[float, int]:
     if not ledger.records:
         return 0.0, ledger.moment_orders[0]
     totals = compose(ledger)
-    eps = (totals - math.log(delta)) / _order_grid(ledger.moment_orders).orders_f
+    eps = (totals - math.log(delta)) / _grid_tables(ledger.moment_orders).orders_f
     i = int(np.argmin(eps))
     return float(eps[i]), int(ledger.moment_orders[i])
 
@@ -179,7 +168,7 @@ def delta_from_eps(ledger: AccountantLedger, epsilon: float) -> float:
     if not 0 <= epsilon < math.inf:  # at inf, an infinite log moment gives nan
         raise ValueError("epsilon must be nonnegative and finite")
     totals = compose(ledger)
-    orders = _order_grid(ledger.moment_orders).orders_f
+    orders = _grid_tables(ledger.moment_orders).orders_f
     exponent = float((totals - orders * epsilon).min())
     if exponent >= 0.0:
         return 1.0

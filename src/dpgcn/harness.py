@@ -329,16 +329,15 @@ class _Trainer:
 
     def close(self) -> None:
         """Stop the worker thread; later products run their halves in turn."""
-        if isinstance(self.rng_noise, ReadAheadNormals):
-            self.rng_noise.close()
         if self.worker is not None:
-            self.worker.shutdown()  # waits for a chunk the worker has begun
+            # cancels a noise chunk not yet begun, and waits for one begun
+            self.worker.shutdown(cancel_futures=True)
             self.worker = None
 
     def _gradient(self, k: int, epoch: int) -> np.ndarray:
         ex = self.examples[k]
         trace = forward(self.params, ex.adj, ax=ex.ax, dropout=self.cfg.dropout,
-                        training=True, rng=self.rng_drop, worker=self.worker)
+                        rng=self.rng_drop, worker=self.worker)
         log_probs = masked_log_probs(trace.logits, ex.target)
         loss = masked_cross_entropy(ex.target, log_probs=log_probs)
         _require_finite(loss, "loss", epoch)
@@ -524,10 +523,10 @@ def run_experiment(config: ExperimentConfig,
         for seed in cfg.seeds:
             try:  # a diverging seed fails with a reason; numpy need not warn too
                 with np.errstate(all="ignore"):
-                    outcomes.append(replace(_train_single_seed(dataset, cfg, seed, plan),
-                                            epsilon=eps, moment_order=order))
-            except TrainingDiverged as exc:
-                outcomes.append(SeedOutcome(seed=seed, failed=True, reason=str(exc)))
+                    outcome = _train_single_seed(dataset, cfg, seed, plan)
+            except TrainingDiverged as exc:  # it trained: the plan's epsilon covers it
+                outcome = SeedOutcome(seed=seed, failed=True, reason=str(exc))
+            outcomes.append(replace(outcome, epsilon=eps, moment_order=order))
         fingerprint = host_fingerprint()
     good = [o for o in outcomes if not o.failed]
 
@@ -542,7 +541,7 @@ def run_experiment(config: ExperimentConfig,
     aggregate = {
         "f1_micro_mean": micro_mean, "f1_micro_std": micro_std,
         "f1_macro_mean": macro_mean, "f1_macro_std": macro_std,
-        "epsilon": eps if good else None,
+        "epsilon": eps,
         "seeds_failed": sum(o.failed for o in outcomes),
     }
     import scipy  # loaded by normalize_adjacency, so this costs no import time

@@ -96,19 +96,16 @@ def _first_layer(left: np.ndarray, right: np.ndarray, out: np.ndarray,
 
 
 def forward(params: GcnParams, adj: sp.csr_matrix, *, ax: np.ndarray,
-            dropout: float = 0.0, training: bool = False,
-            rng: Prng | None = None,
+            dropout: float = 0.0, rng: Prng | None = None,
             worker: Executor | None = None) -> ForwardTrace:
-    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features), and
-    ``worker`` computes half of Z0 where it is split."""
+    """Z0, H1 and logits at params; ``ax`` is spmm(adj, features); dropout
+    applies only when ``rng`` is given; ``worker`` computes half of a split Z0."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
     z0 = _first_layer(ax, params.w0, np.empty((len(ax), params.w0.shape[1])),
                       worker)
     h = np.maximum(z0, 0.0)
-    if training and dropout > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
+    if rng is not None and dropout > 0.0:
         keep_scale = (rng.uniform(h.shape) >= dropout) / (1.0 - dropout)
     else:
         keep_scale = np.ones_like(h)

@@ -70,7 +70,8 @@ class ReadAheadNormals(Prng):
     generator, so any other draw would make the stream depend on timing:
     uniform, permutation, another size and a draw past the total raise
     ValueError. A worker's exception is raised by every call that needs its
-    chunk. ``close`` stops drawing; the worker stays the caller's to stop.
+    chunk. The worker stays the caller's to stop: its shutdown with
+    ``cancel_futures=True`` cancels a chunk not yet begun.
     """
 
     def __init__(self, seed: int, stream: int, size: int, rows: int,
@@ -107,10 +108,3 @@ class ReadAheadNormals(Prng):
 
     def permutation(self, n: int) -> np.ndarray:
         raise ValueError("a read-ahead stream draws only normals")
-
-    def close(self) -> None:
-        """Draw no later chunk: one not yet started is cancelled, and the
-        worker's owner waits for one that has when it stops the worker."""
-        if self._next is not None:
-            self._next.cancel()
-        self._left, self._next = 0, None

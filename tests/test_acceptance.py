@@ -20,9 +20,8 @@ from test_model import (analytic_gradient, grad_rel_err, kink_free_setup,
                         numerical_gradient)
 
 from dpgcn import rng as streams
-from dpgcn.accounting import (AccountantLedger, calibrate_noise,
-                              gaussian_log_moment, privacy_spent,
-                              subsampled_log_moment)
+from dpgcn.accounting import (AccountantLedger, calibrate_noise, log_moment,
+                              privacy_spent, subsampled_log_moment)
 from dpgcn.data import SynthSpec, generate_synthetic
 from dpgcn.dp import DpNoiseSpec, clip_gradient, noisy_lot_gradient
 from dpgcn.graph import build_graph, mask_subgraph, random_partition
@@ -119,7 +118,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
 def test_criterion_03_quadrature_matches_closed_form_at_q1():
     for lam in (1, 2, 4, 8, 16, 32):
         for sigma in (1.0, 2.0, 5.0, 20.0, 80.0, 200.0):
-            closed = gaussian_log_moment(sigma, lam)
+            closed = lam * (lam + 1) / (2 * sigma**2)
             quad = subsampled_log_moment(1.0, sigma, lam)
             assert abs(quad - closed) <= 1e-6 * closed, (lam, sigma)
     # subsampling can only shrink the per-step moment
@@ -127,7 +126,7 @@ def test_criterion_03_quadrature_matches_closed_form_at_q1():
         for lam in (1, 8, 32):
             for sigma in (1.0, 4.0):
                 assert (subsampled_log_moment(q, sigma, lam)
-                        <= gaussian_log_moment(sigma, lam)), (q, lam, sigma)
+                        <= log_moment(1.0, sigma, lam)), (q, lam, sigma)
 
 
 # --- criterion 4: the clipped-and-noised lot mechanism --------------------

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import dpgcn.accounting as accounting
 from dpgcn.accounting import (DEFAULT_MOMENT_ORDERS, AccountantLedger,
                               calibrate_noise, compose, delta_from_eps,
-                              eps_from_delta, gaussian_log_moment, log_moment,
-                              privacy_spent, subsampled_log_moment)
+                              eps_from_delta, log_moment, privacy_spent,
+                              subsampled_log_moment)
 
 
 def ledger(q, sigma, steps, orders=DEFAULT_MOMENT_ORDERS):
@@ -39,8 +39,8 @@ def test_log_moment_q_to_zero_limit():
 
 def test_log_moment_subsampled_bounded_by_full_batch():
     got = log_moment(0.01, 4.0, 8)
-    assert 0.0 <= got <= gaussian_log_moment(4.0, 8)
-    assert gaussian_log_moment(4.0, 8) == pytest.approx(2.25, rel=1e-15)
+    assert 0.0 <= got <= log_moment(1.0, 4.0, 8)
+    assert log_moment(1.0, 4.0, 8) == pytest.approx(2.25, rel=1e-15)
 
 
 # frozen against a 40-digit arbitrary-precision quadrature of the same
@@ -109,8 +109,6 @@ def test_log_moment_validation():
                 log_moment(q, sigma, 4)
         with pytest.raises(ValueError):
             subsampled_log_moment(0.5, sigma, 4)
-        with pytest.raises(ValueError):
-            gaussian_log_moment(sigma, 3)
 
 
 @pytest.mark.parametrize("q", [1e-6, 0.1, 0.5, 0.999])
@@ -126,7 +124,8 @@ def test_log_moment_array_matches_scalar_rows(q, sigma):
 def test_log_moment_array_at_full_sampling_is_the_closed_form():
     for sigma in (0.05, 1.0, 34.7, 1e6):
         got = log_moment(1.0, sigma, np.asarray(DEFAULT_MOMENT_ORDERS))
-        want = [gaussian_log_moment(sigma, lam) for lam in DEFAULT_MOMENT_ORDERS]
+        want = [lam * (lam + 1.0) / (2.0 * sigma * sigma)
+                for lam in DEFAULT_MOMENT_ORDERS]
         assert np.array_equal(got, want)
 
 
@@ -138,7 +137,7 @@ def test_quadrature_matches_closed_form_at_full_sampling():
     for lam in (1, 2, 5, 17, 32):
         for sigma in (1.0, 4.0, 56.0, 200.0):
             got = log_moment(q, sigma, lam)
-            want = gaussian_log_moment(sigma, lam)
+            want = log_moment(1.0, sigma, lam)
             assert got == pytest.approx(want, rel=1e-6), (lam, sigma)
 
 
@@ -151,8 +150,8 @@ def test_amplification_at_sample_points():
     for q in (0.05, 0.25, 0.9):
         for sigma in (1.0, 4.0, 26.0):
             for lam in (1, 4, 16):
-                assert log_moment(q, sigma, lam) <= gaussian_log_moment(
-                    sigma, lam) * (1 + 1e-12)
+                assert log_moment(q, sigma, lam) <= log_moment(
+                    1.0, sigma, lam) * (1 + 1e-12)
 
 
 # the closed form at points where the old scipy quadrature was least
@@ -202,7 +201,7 @@ def test_closed_form_monotone_and_amplified(q, sigma, lam, q_factor,
     assert subsampled_log_moment(min(q * q_factor, 1.0), sigma, lam) >= got * (1 - tol)
     assert subsampled_log_moment(q, sigma, lam + 1) >= got * (1 - tol)
     assert subsampled_log_moment(q, sigma * sigma_factor, lam) <= got * (1 + tol)
-    assert got <= gaussian_log_moment(sigma, lam) * (1 + tol)
+    assert got <= log_moment(1.0, sigma, lam) * (1 + tol)
 
 
 def test_import_loads_no_quadrature_or_special_functions():
@@ -261,7 +260,7 @@ def test_ledger_grid_forms_give_the_same_bits(orders):
     assert got[0].hex() == want[0].hex() and got[1] == want[1]
     assert type(got[1]) is int
     with pytest.raises(ValueError, match="read-only"):  # shared by every query
-        accounting._order_grid(led.moment_orders).log_binom[0, 0] = 0.0
+        accounting._grid_tables(led.moment_orders).log_binom[0, 0] = 0.0
 
 
 def test_ledger_grid_errors_keep_their_messages():
@@ -275,14 +274,19 @@ def test_ledger_grid_errors_keep_their_messages():
 
 
 def test_log_moment_keeps_every_order_shape():
-    table = np.arange(1, 13).reshape(3, 4)
-    got = log_moment(0.1, 1.3, table)
-    assert got.shape == (3, 4)
-    assert np.array_equal(got, log_moment(0.1, 1.3, np.arange(1, 13)).reshape(3, 4))
-    assert np.array_equal(got, log_moment(0.1, 1.3, table.tolist()))
-    assert np.array_equal(got, log_moment(0.1, 1.3, tuple(map(tuple, table))))
-    assert np.ndim(log_moment(0.1, 1.3, 5)) == 0
-    assert log_moment(0.1, 1.3, 5) == pytest.approx(got[1, 0], rel=1e-13)
+    orders = np.arange(1, 13)
+    table = orders.reshape(3, 4)
+    for q in (0.1, 1.0):
+        got = log_moment(q, 1.3, orders)
+        assert got.shape == (12,)
+        assert np.array_equal(got, log_moment(q, 1.3, orders.tolist()))
+        assert np.array_equal(got, log_moment(q, 1.3, tuple(orders.tolist())))
+        assert np.ndim(log_moment(q, 1.3, 5)) == 0
+        assert log_moment(q, 1.3, 5) == pytest.approx(got[4], rel=1e-13)
+        # one order or a 1-D sequence of them: a table of orders is refused
+        for bad in (table, table.tolist(), table[None], np.array([[5]])):
+            with pytest.raises(ValueError, match="1-D sequence"):
+                log_moment(q, 1.3, bad)
 
 
 def test_ledger_coalesces_repeats():
@@ -334,7 +338,7 @@ def test_compose_mixed_records_sum():
     led = AccountantLedger(moment_orders=(2,))
     led.append(q=1.0, sigma=10.0, steps=3)
     led.append(q=1.0, sigma=5.0, steps=2)
-    want = 3 * gaussian_log_moment(10.0, 2) + 2 * gaussian_log_moment(5.0, 2)
+    want = 3 * log_moment(1.0, 10.0, 2) + 2 * log_moment(1.0, 5.0, 2)
     assert compose(led)[0] == pytest.approx(want, rel=1e-15)
 
 
@@ -463,13 +467,13 @@ def test_eps_delta_validation():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma", [1e-200, 1e-163])
 def test_closed_form_infinite_where_two_sigma_squared_underflows(sigma):
-    # 2 sigma^2 is 0.0 here; a Python float order divided by it raised
-    # ZeroDivisionError, where log_moment's numpy orders gave +inf
+    # 2 sigma^2 is 0.0 here: the closed form divides by it, and gives +inf
+    # at every order, whatever form the order takes
     assert 2.0 * sigma * sigma == 0.0
-    assert gaussian_log_moment(sigma, 3.0) == math.inf
-    assert gaussian_log_moment(sigma, 1) == math.inf
-    assert list(gaussian_log_moment(sigma, np.arange(1, 4))) == [math.inf] * 3
-    assert gaussian_log_moment(sigma, 3.0) == log_moment(1.0, sigma, 3.0)
+    assert log_moment(1.0, sigma, 3.0) == math.inf
+    assert log_moment(1.0, sigma, 1) == math.inf
+    assert list(log_moment(1.0, sigma, np.arange(1, 4))) == [math.inf] * 3
+    assert list(log_moment(1.0, sigma, (1, 2, 3))) == [math.inf] * 3
 
 
 @pytest.mark.filterwarnings("error")  # extreme sigma warns of nothing

@@ -324,7 +324,8 @@ def test_run_aggregate_recomputable(sbm):
 
 
 def assert_seeds_spent(record, q, sigma, steps):
-    # every seed reports what a cold accountant gives for the run's steps
+    # every seed, a failed one too, reports what a cold accountant gives for
+    # the run's planned steps
     ledger = AccountantLedger()
     ledger.append(q=q, sigma=sigma, steps=steps)
     want_eps, want_order = privacy_spent(ledger, 1e-5)
@@ -1099,7 +1100,8 @@ def test_run_fails_a_seed_whose_logits_overflow(sbm):
     ("sgd-dp", 3, "non-finite loss at epoch 2"),
     ("sgd-dp", 1, "non-finite logits at epoch 1"),
 ])
-def test_diverging_seeds_warn_of_nothing(sbm, optimizer, epochs, reason):
+def test_diverging_seeds_warn_of_nothing(sbm, tmp_path, optimizer, epochs,
+                                        reason):
     before = np.geterr()
     cfg = ExperimentConfig(kind="B", optimizer=optimizer, sigma=1e300,
                            max_epochs=epochs, seeds=(0, 1))
@@ -1108,3 +1110,10 @@ def test_diverging_seeds_warn_of_nothing(sbm, optimizer, epochs, reason):
         record = run_experiment(cfg, dataset=sbm)
     assert [(o.failed, o.reason) for o in record.seeds] == [(True, reason)] * 2
     assert np.geterr() == before  # the process-wide setting is untouched
+    # a failed seed has trained on the private data: the plan's epsilon
+    # covers its steps, and results.json and results.csv say so
+    assert_seeds_spent(record, 1.0, 1e300, epochs)
+    emit_results(record, str(tmp_path))
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["epsilon"]) for r in rows] == [record.seeds[0].epsilon] * 2

@@ -128,15 +128,10 @@ def test_forward_two_node_hand_oracle():
     assert np.allclose(trace.logits, [[4.0, -4.0], [4.0, -4.0]], rtol=1e-15)
 
 
-def test_forward_dropout_requires_rng():
-    adj, feats, labels, params = tiny_setup(4, 3, 5, 2, 0)
-    with pytest.raises(ValueError):
-        run_forward(params, adj, feats, dropout=0.5, training=True)
-
-
 def test_forward_eval_ignores_dropout():
     adj, feats, labels, params = tiny_setup(5, 3, 4, 2, 2)
-    a = run_forward(params, adj, feats, dropout=0.5, training=False)
+    # without an rng, forward draws no dropout
+    a = run_forward(params, adj, feats, dropout=0.5)
     b = run_forward(params, adj, feats)
     assert np.array_equal(a.logits, b.logits)
 
@@ -150,7 +145,7 @@ def test_forward_dropout_expectation():
     acc = np.zeros_like(base)
     acc2 = np.zeros_like(base)
     for _ in range(draws):
-        h = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng).hidden
+        h = run_forward(params, adj, feats, dropout=0.5, rng=rng).hidden
         acc += h
         acc2 += h * h
     mean = acc / draws
@@ -329,8 +324,8 @@ def test_backward_dropout_mask_respected():
     adj, feats, labels, params = tiny_setup(5, 3, 8, 2, 21)
     mask = np.arange(5)
     rng = Prng(4, stream=STREAM_DROPOUT)
-    t1 = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
-    t2 = run_forward(params, adj, feats, dropout=0.5, training=True, rng=rng)
+    t1 = run_forward(params, adj, feats, dropout=0.5, rng=rng)
+    t2 = run_forward(params, adj, feats, dropout=0.5, rng=rng)
     g1 = gradient_of(t1, labels, mask)
     g2 = gradient_of(t2, labels, mask)
     assert not np.array_equal(g1, g2)
@@ -383,7 +378,7 @@ SHARED_CASES = [
 def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
                                                              mask):
     adj, feats, labels, params = tiny_setup(n, d, h, k, seed, extra_edges=2 * n)
-    trace = run_forward(params, adj, feats, dropout=0.5, training=True,
+    trace = run_forward(params, adj, feats, dropout=0.5,
                         rng=Prng(seed, stream=STREAM_DROPOUT))
     hidden, logits = reference_forward(params, adj, feats, 0.5,
                                        Prng(seed, stream=STREAM_DROPOUT))
@@ -417,7 +412,7 @@ class FailingWorker:
 
 def trained_step(params, adj, feats, labels, worker):
     """The trace and gradient of one dropout step on every node."""
-    trace = run_forward(params, adj, feats, dropout=0.5, training=True,
+    trace = run_forward(params, adj, feats, dropout=0.5,
                         rng=Prng(5, stream=STREAM_DROPOUT), worker=worker)
     target = Target.of(labels, np.arange(labels.size), params.w1.shape[1])
     log_probs = masked_log_probs(trace.logits, target)
@@ -564,7 +559,7 @@ def test_all_rows_gradient_bitwise_equals_scatter():
     # gather and the scatter; a permuted full mask takes both and must
     # give the same bits
     adj, feats, labels, params = tiny_setup(9, 5, 6, 3, 79, extra_edges=18)
-    trace = run_forward(params, adj, feats, dropout=0.5, training=True,
+    trace = run_forward(params, adj, feats, dropout=0.5,
                         rng=Prng(79, stream=STREAM_DROPOUT))
     perm = np.random.default_rng(79).permutation(9)
     assert not np.array_equal(perm, np.arange(9))

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -132,10 +132,7 @@ def test_read_ahead_bitwise_equals_prng_across_chunks(pool):
     # every array is held to the end, so a returned view of a buffer that
     # a later refill overwrote would differ from the reference
     stream = read_ahead(pool)
-    try:
-        got = [stream.normal(50, std=0.5 + k) for k in range(12)]
-    finally:
-        stream.close()
+    got = [stream.normal(50, std=0.5 + k) for k in range(12)]
     ref = Prng(17, 3)
     want = [ref.normal(50, std=0.5 + k) for k in range(12)]
     for k, (a, b) in enumerate(zip(got, want)):
@@ -156,28 +153,22 @@ def test_read_ahead_bitwise_equals_prng_across_chunks(pool):
         "wrong-size", "tuple-size"])
 def test_read_ahead_refuses_every_other_draw(pool, draw):
     stream = read_ahead(pool)
-    try:
-        first = stream.normal(50)
-        with pytest.raises(ValueError):
-            draw(stream)
-        # a refused draw consumes nothing
-        ref = Prng(17, 3)
-        assert np.array_equal(first, ref.normal(50))
-        assert np.array_equal(stream.normal(50, std=2.0), ref.normal(50, std=2.0))
-    finally:
-        stream.close()
+    first = stream.normal(50)
+    with pytest.raises(ValueError):
+        draw(stream)
+    # a refused draw consumes nothing
+    ref = Prng(17, 3)
+    assert np.array_equal(first, ref.normal(50))
+    assert np.array_equal(stream.normal(50, std=2.0), ref.normal(50, std=2.0))
 
 
 def test_read_ahead_refuses_a_draw_past_its_total(pool):
     stream = read_ahead(pool, rows=2, chunks=3)
-    try:
-        for _ in range(6):
+    for _ in range(6):
+        stream.normal(50)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exhausted"):
             stream.normal(50)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="exhausted"):
-                stream.normal(50)
-    finally:
-        stream.close()
 
 
 class FailingGenerator:
@@ -202,37 +193,37 @@ def test_read_ahead_raises_the_worker_error_on_the_caller(pool, monkeypatch):
 
     monkeypatch.setattr(Prng, "__init__", init)
     stream = read_ahead(pool, rows=2, chunks=3)
-    try:
-        want = Prng(17, 3)._gen.gen
-        assert np.array_equal(stream.normal(50), want.standard_normal(50))
-        assert np.array_equal(stream.normal(50), want.standard_normal(50))
-        # the second chunk was never filled: no call may read its buffer
-        for _ in range(2):
-            with pytest.raises(MemoryError, match="fill failed"):
-                stream.normal(50)
-    finally:
-        stream.close()
+    want = Prng(17, 3)._gen.gen
+    assert np.array_equal(stream.normal(50), want.standard_normal(50))
+    assert np.array_equal(stream.normal(50), want.standard_normal(50))
+    # the second chunk was never filled: no call may read its buffer
+    for _ in range(2):
+        with pytest.raises(MemoryError, match="fill failed"):
+            stream.normal(50)
     # the stream started no thread of its own, and the error left the
     # borrowed one working
     assert own_threads() == {"dpgcn-borrowed_0"}
     assert pool.submit(int, "7").result() == 7
 
 
-def test_read_ahead_close_stops_the_worker(pool):
-    # close stops the stream's use of the worker; the executor is the
-    # caller's, and keeps running
+def test_read_ahead_stops_with_its_owners_worker(pool):
+    # the stream borrows its worker: the owner's shutdown, as a trainer's
+    # close does it, cancels the chunk not yet begun
     gate = threading.Event()
-    stream = read_ahead(pool, chunks=100)
-    pool.submit(gate.wait, 60)  # runs after chunk 0; chunk 1 waits behind it
-    ref = Prng(17, 3)
-    assert np.array_equal(stream.normal(50), ref.normal(50))
-    stream.close()  # cancels chunk 1, which has not started
-    gate.set()
-    assert pool.submit(int, "7").result() == 7
+    try:
+        stream = read_ahead(pool, chunks=100)
+        pool.submit(gate.wait, 60)  # runs after chunk 0; chunk 1 waits behind it
+        ref = Prng(17, 3)
+        assert np.array_equal(stream.normal(50), ref.normal(50))
+        pool.shutdown(wait=False, cancel_futures=True)  # cancels chunk 1
+    finally:
+        gate.set()  # a failed assertion must not leave the teardown waiting
+    pool.shutdown()  # waits for the gate
     # the chunk being read stays readable; the next one is never drawn
     for _ in range(2):
         assert np.array_equal(stream.normal(50), ref.normal(50))
-    with pytest.raises(ValueError, match="exhausted"):
-        stream.normal(50)
+    for _ in range(2):
+        with pytest.raises(CancelledError):
+            stream.normal(50)
     # the generator stands where chunk 0 left it
     assert np.array_equal(stream._gen.standard_normal(8), ref._gen.standard_normal(8))
