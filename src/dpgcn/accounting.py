@@ -59,10 +59,6 @@ class AccountantLedger:
         else:
             self.records.append(LedgerRecord(q, sigma, steps))
 
-    @property
-    def total_steps(self) -> int:
-        return sum(r.steps for r in self.records)
-
 
 @lru_cache(maxsize=32)
 def _grid_tables(orders: tuple) -> SimpleNamespace:

@@ -58,8 +58,8 @@ def build_graph(num_nodes: int, edges) -> Graph:
     return _csr(num_nodes, keys[np.diff(keys, prepend=-1) != 0])  # repeats merged
 
 
-def normalize_adjacency(graph: Graph | sp.csr_matrix) -> sp.csr_matrix:
-    """D^-1/2 (A + I) D^-1/2 as a scipy CSR matrix, self-loops included.
+def normalize_adjacency(graph: Graph) -> sp.csr_matrix:
+    """The Graph's D^-1/2 (A + I) D^-1/2 as scipy CSR, self-loops included.
 
     Entry (i, j) is 1/sqrt(d_i d_j) where d counts neighbors plus self;
     the same product is used for (j, i), so symmetry is exact.

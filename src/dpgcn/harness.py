@@ -388,10 +388,17 @@ class _Trainer:
 
 def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
                        plan: AccountantLedger | None) -> SeedOutcome:
+    """The seed's outcome; a diverging seed fails with its reason, the
+    epoch the reason names and the time it ran."""
     start = time.perf_counter()
     trainer = _Trainer(dataset, cfg, seed, plan)
     history: list[float] = []
     best_params = None
+
+    def ended(**results) -> SeedOutcome:
+        return SeedOutcome(seed=seed, epochs=epoch,
+                           seconds=time.perf_counter() - start, **results)
+
     try:
         for epoch in range(1, cfg.max_epochs + 1):  # max_epochs >= 1: epoch is bound
             trainer.run_epoch(epoch)
@@ -402,6 +409,8 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
                     best_params = trainer.params.copy()
                 if stop:
                     break
+    except TrainingDiverged as exc:
+        return ended(failed=True, reason=str(exc))
     finally:
         trainer.close()
     if plan and trainer.ledger != plan:  # steps the claim does not cover
@@ -409,18 +418,18 @@ def _train_single_seed(dataset: Dataset, cfg: ExperimentConfig, seed: int,
     eval_params = trainer.params if best_params is None else best_params
     metrics = trainer.metrics(eval_params, trainer.test)
     if not metrics.finite:  # weights too large for the forward pass
-        raise TrainingDiverged(f"non-finite logits at epoch {epoch}")
-    return SeedOutcome(seed=seed, f1_micro=metrics.micro_f1,
-                       f1_macro=macro_f1(metrics.confusion), epochs=epoch,
-                       seconds=time.perf_counter() - start,
-                       final_loss=trainer.last_loss,
-                       errors=[int(i) for i in metrics.errors])
+        return ended(failed=True, reason=f"non-finite logits at epoch {epoch}")
+    return ended(f1_micro=metrics.micro_f1, f1_macro=macro_f1(metrics.confusion),
+                 final_loss=trainer.last_loss,
+                 errors=[int(i) for i in metrics.errors])
 
 
 def plan_privacy(cfg: ExperimentConfig) -> AccountantLedger | None:
-    """The ledger every seed of a finalized DP config composes, None if non-DP:
-    one record of q = lot_size / s, sigma (given or calibrated) and all
-    max_epochs * steps_per_epoch steps, as DP runs never stop early."""
+    """The ledger every seed of a DP config composes, None if non-DP: one
+    record of q = lot_size / s, sigma (given or calibrated) and all
+    max_epochs * steps_per_epoch steps, as DP runs never stop early. The
+    config is finalized first, so a bad one is a ConfigError."""
+    cfg = cfg.finalized()
     if not cfg.is_dp:
         return None
     q, steps = cfg.lot_size / cfg.s, cfg.max_epochs * cfg.steps_per_epoch
@@ -518,15 +527,12 @@ def run_experiment(config: ExperimentConfig,
     if plan and not (math.isfinite(eps) and eps <= (cfg.target_epsilon or math.inf)):
         raise ConfigError(f"epsilon {eps} of {plan.records[0]} exceeds " + (
             f"target {cfg.target_epsilon}" if cfg.target_epsilon else "any finite bound"))
-    outcomes = []
-    with one_blas_thread():  # bits and noise stream then ignore the caller's count
-        for seed in cfg.seeds:
-            try:  # a diverging seed fails with a reason; numpy need not warn too
-                with np.errstate(all="ignore"):
-                    outcome = _train_single_seed(dataset, cfg, seed, plan)
-            except TrainingDiverged as exc:  # it trained: the plan's epsilon covers it
-                outcome = SeedOutcome(seed=seed, failed=True, reason=str(exc))
-            outcomes.append(replace(outcome, epsilon=eps, moment_order=order))
+    # bits and noise stream ignore the caller's BLAS thread count; a diverging
+    # seed fails with a reason, and numpy need not warn too
+    with one_blas_thread(), np.errstate(all="ignore"):
+        # a failed seed trained too: the plan's epsilon covers it
+        outcomes = [replace(_train_single_seed(dataset, cfg, seed, plan),
+                            epsilon=eps, moment_order=order) for seed in cfg.seeds]
         fingerprint = host_fingerprint()
     good = [o for o in outcomes if not o.failed]
 

@@ -119,26 +119,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _masked_labels(labels: np.ndarray, mask,
-                   num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask as int64 ids and its labels; checks that the mask is
-    non-empty integer ids and that every masked label is one of num_classes."""
-    mask = node_ids(mask)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    y = np.asarray(labels)[mask]
-    if y.min() < 0 or y.max() >= num_classes:
-        raise ValueError("label out of range on a masked node")
-    return mask, y
-
-
 @dataclass(frozen=True)
 class Target:
-    """The nodes whose loss counts, checked once: their int64 ids, their
-    labels and the number of classes. ``cells`` indexes each id's label in
-    the flattened (len(ids), num_classes) log-probabilities, row by row.
-    ``all_rows`` says the ids are every row of ``labels`` in order, so the
-    masked rows are the whole logits matrix and need no gather."""
+    """The nodes whose loss counts, checked once: their distinct int64 ids,
+    their labels and the number of classes. An empty mask, a repeated id or
+    a masked label outside the classes is a ValueError. ``cells`` indexes
+    each id's label in the flattened (len(ids), num_classes)
+    log-probabilities, row by row. ``all_rows`` says the ids are every row
+    of ``labels`` in order, so the masked rows are the whole logits matrix
+    and need no gather."""
 
     ids: np.ndarray
     labels: np.ndarray
@@ -148,7 +137,14 @@ class Target:
 
     @classmethod
     def of(cls, labels: np.ndarray, mask, num_classes: int) -> "Target":
-        ids, y = _masked_labels(labels, mask, num_classes)
+        ids = node_ids(mask)
+        if ids.size == 0:
+            raise ValueError("empty mask")
+        if np.unique(ids).size != ids.size:
+            raise ValueError("repeated node id")
+        y = np.asarray(labels)[ids]
+        if y.min() < 0 or y.max() >= num_classes:
+            raise ValueError("label out of range on a masked node")
         rows = np.arange(ids.size)
         return cls(ids, y, rows * num_classes + y, num_classes,
                    ids.size == len(labels) and bool((ids == rows).all()))
@@ -199,10 +195,8 @@ def backward(trace: ForwardTrace, target: Target, *,
     if target.all_rows:
         g1 = p  # the loss's rows are the graph's rows, in order
     else:
-        # scatter-add, so a node repeated in the mask counts once per entry
-        n, k = trace.logits.shape
-        flat = (target.ids[:, None] * k + np.arange(k)).ravel()
-        g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
+        g1 = np.zeros(trace.logits.shape)
+        g1[target.ids] = p  # the ids are distinct: each row is written once
     ag1 = spmm(trace.adj, g1)  # A is symmetric, so this is A^T g1
     grad = np.empty(params.flat.size)
     split = params.w0.size

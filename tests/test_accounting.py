@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import dpgcn.accounting as accounting
 from dpgcn.accounting import (DEFAULT_MOMENT_ORDERS, AccountantLedger,
-                              calibrate_noise, compose, delta_from_eps,
-                              eps_from_delta, log_moment, privacy_spent,
-                              subsampled_log_moment)
+                              LedgerRecord, calibrate_noise, compose,
+                              delta_from_eps, eps_from_delta, log_moment,
+                              privacy_spent, subsampled_log_moment)
 
 
 def ledger(q, sigma, steps, orders=DEFAULT_MOMENT_ORDERS):
@@ -293,8 +293,7 @@ def test_ledger_coalesces_repeats():
     led = AccountantLedger()
     for _ in range(5):
         led.append(q=1.0, sigma=2.0)
-    assert len(led.records) == 1
-    assert led.total_steps == 5
+    assert led.records == [LedgerRecord(1.0, 2.0, 5)]
 
 
 def test_compose_empty_ledger_all_zeros():
@@ -571,6 +570,14 @@ def test_calibrate_unreachable_target_raises():
     # floor as sigma -> inf is ln(1/delta)/max(lambda) = 11.5129/64 ~ 0.18
     with pytest.raises(ValueError):
         calibrate_noise(0.1, 1e-5, 1.0, 2000)
+
+
+def test_calibrate_returns_the_grid_floor_when_it_meets_the_target():
+    # at sigma = 0.01, q = 1 and one step, epsilon is 10011.5 (order 1)
+    led = ledger(1.0, 0.01, 1)
+    assert eps_from_delta(led, 1e-5) == pytest.approx(10011.51, abs=0.01)
+    assert calibrate_noise(1e5, 1e-5, 1.0, 1) == 0.01
+    assert calibrate_noise(10011.0, 1e-5, 1.0, 1) == 0.02
 
 
 def test_calibrate_monotone_in_target():

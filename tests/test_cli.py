@@ -153,6 +153,21 @@ def test_run_dp_reports_epsilon(synth_dir, tmp_path, capsys):
     assert "epsilon=" in capsys.readouterr().out
 
 
+def test_run_reports_failed_seeds(synth_dir, tmp_path, capsys):
+    # sigma C = 1e300: one sgd step leaves weights too large for the test
+    # logits, so both seeds fail, and the run still exits 0
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        f"dataset = {synth_dir}\nkind = B\noptimizer = sgd-dp\n"
+        "sigma = 1e300\nmax_epochs = 1\nseeds = 0,1\n")
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(" failed_seeds=2") and "f1_micro=" not in summary
+    payload = json.loads((out / "results.json").read_text())
+    assert payload["aggregate"]["seeds_failed"] == 2
+
+
 def test_run_unreachable_target_epsilon_exits_2(synth_dir, tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(

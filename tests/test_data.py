@@ -113,6 +113,8 @@ def test_fixture_round_trips_through_save(tmp_path):
                 "feature_dim": 2, "feature_kind": "sparse"},
           feature_file="features.tsv",
           features=("2\t1\t0.5", "0\t0\t1.0", "2\t1\t0.25")), "duplicate-row"),
+    # an id past int64: the rows are read as Python ints, still range-checked
+    (dict(edges=("0\t%d" % 10**20,)), "index-out-of-range"),
 ])
 def test_load_error_codes(tmp_path, mutate, code):
     path = write_fixture(tmp_path / "bad", **mutate)
@@ -173,6 +175,7 @@ BROKEN_FILES = {
     "meta-size-huge": _meta_size(b"%d" % 10**15),
     "meta-feature-dim-huge": _meta_size(b"%d" % 10**15, b"feature_dim", b"2"),
     "edges-3-columns": _rewrite("edges.tsv", lambda raw: b"0\t1\t2\n1\t2\n"),
+    "edges-id-past-int64": _rewrite("edges.tsv", lambda raw: b"0\t%d\n" % 10**20),
     "masks-1-column": _rewrite("masks.tsv", lambda raw: raw.replace(b"\tval", b"")),
     "labels-non-integer": _rewrite("labels.tsv",
                                    lambda raw: raw.replace(b"1\t1", b"1\tone")),
@@ -322,6 +325,13 @@ def test_validate_rejects_bad_datasets():
         Dataset(base.name, base.graph, base.features, base.labels,
                 np.array([3]), base.val_nodes, base.test_nodes, 2).validate()
     assert exc.value.code == "unlabeled-masked-node"
+    # what the loader's own checks refuse before it builds a Dataset
+    for change, code in ((dict(num_classes=1), "bad-meta"),
+                         (dict(labels=np.array([0, 1, 1, -1, 0])), "shape-mismatch"),
+                         (dict(labels=np.array([0, 1, 2, -1])), "label-out-of-range")):
+        with pytest.raises(DatasetError) as exc:
+            replace(base, **change).validate()
+        assert exc.value.code == code
 
 
 def test_validate_rejects_labels_below_minus_one(tmp_path):

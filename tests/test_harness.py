@@ -207,6 +207,12 @@ def test_early_stop_empty_history():
         early_stop_check([], 20)
 
 
+def test_early_stop_needs_positive_patience():
+    for patience in (0, -1):
+        with pytest.raises(ValueError, match="patience must be positive"):
+            early_stop_check([0.5, 0.6], patience)
+
+
 # ---- hard_case_overlap ----
 
 def test_overlap_identical():
@@ -298,6 +304,20 @@ def test_plan_privacy_full_graph_ratio_is_one():
                            max_epochs=100).finalized()
     want = calibrate_noise(2.0, cfg.delta, 1.0, 100)
     assert plan_privacy(cfg).records == [LedgerRecord(1.0, want, 100)]
+
+
+def test_plan_privacy_finalizes_its_config():
+    # the defaults are filled in (max_epochs 500, lot_size = s), and a bad
+    # config is a ConfigError, not a TypeError or the ledger's ValueError
+    raw = ExperimentConfig(kind="B", optimizer="adam-dp", sigma=2.0)
+    assert plan_privacy(raw).records == [LedgerRecord(1.0, 2.0, 500)]
+    assert plan_privacy(replace(raw, kind="C", s=4)).records == [
+        LedgerRecord(1.0, 2.0, 500)]
+    assert plan_privacy(cfg_a()) is None
+    for bad in (dict(kind="C", s=2, lot_size=3), dict(sigma=None),
+                dict(sigma=-1.0)):
+        with pytest.raises(ConfigError):
+            plan_privacy(replace(raw, **bad))
 
 
 # ---- run_experiment ----
@@ -455,18 +475,20 @@ def test_run_divergence_is_recorded_not_raised(sbm):
 def test_run_seed_isolation(sbm, monkeypatch):
     cfg = cfg_a(max_epochs=10, seeds=(0, 1, 2))
     clean = run_experiment(cfg, dataset=sbm)
-    original = harness_mod._train_single_seed
+    original = harness_mod._Trainer.run_epoch
 
-    def sabotaged(dataset, config, seed, plan):
-        if seed == 1:
-            raise TrainingDiverged("injected failure")
-        return original(dataset, config, seed, plan)
+    def sabotaged(trainer, epoch):
+        if trainer.seed == 1 and epoch == 4:
+            raise TrainingDiverged(f"injected failure at epoch {epoch}")
+        original(trainer, epoch)
 
-    monkeypatch.setattr(harness_mod, "_train_single_seed", sabotaged)
+    monkeypatch.setattr(harness_mod._Trainer, "run_epoch", sabotaged)
     record = run_experiment(cfg, dataset=sbm)
     assert record.aggregate["seeds_failed"] == 1
     by_seed = {o.seed: o for o in record.seeds}
-    assert by_seed[1].failed
+    assert by_seed[1].failed and by_seed[1].f1_micro is None
+    assert by_seed[1].reason == "injected failure at epoch 4"
+    assert by_seed[1].epochs == 4 and by_seed[1].seconds > 0.0
     for seed in (0, 2):
         clean_o = next(o for o in clean.seeds if o.seed == seed)
         assert by_seed[seed].f1_micro == clean_o.f1_micro
@@ -494,9 +516,7 @@ def test_trainer_ledger_counts_noise_steps(sbm):
     trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
     for epoch in range(1, 4):
         trainer.run_epoch(epoch)
-    assert trainer.ledger.total_steps == 3
-    assert len(trainer.ledger.records) == 1
-    assert trainer.ledger.records[0].q == 1.0
+    assert trainer.ledger.records == [LedgerRecord(1.0, 2.0, 3)]
 
     cfg_c = ExperimentConfig(kind="C", optimizer="adam-dp", s=4, lot_size=2,
                              sigma=2.0, max_epochs=10, seeds=(0,)).finalized()
@@ -504,8 +524,7 @@ def test_trainer_ledger_counts_noise_steps(sbm):
     trainer_c.run_epoch(1)
     trainer_c.run_epoch(2)
     # two lots of 2 subgraphs per epoch, each lot one noise draw
-    assert trainer_c.ledger.total_steps == 4
-    assert trainer_c.ledger.records[0].q == 0.5
+    assert trainer_c.ledger.records == [LedgerRecord(0.5, 2.0, 4)]
 
 
 @pytest.mark.parametrize("kw", [
@@ -674,7 +693,8 @@ def test_dp_step_computes_one_log_softmax_per_example(sbm, monkeypatch):
 
     monkeypatch.setattr(model_mod, "_log_softmax", counting)
     trainer.run_epoch(1)
-    assert cfg.steps_per_epoch == 1 and trainer.ledger.total_steps == 1
+    assert cfg.steps_per_epoch == 1
+    assert trainer.ledger.records == [LedgerRecord(1.0, 2.0, 1)]
     assert len(calls) == 2
 
 
@@ -697,7 +717,7 @@ def test_trainer_non_dp_keeps_empty_ledger(sbm):
     cfg = cfg_a(seeds=(0,)).finalized()
     trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=None)
     trainer.run_epoch(1)
-    assert trainer.ledger.total_steps == 0
+    assert trainer.ledger.records == []
 
 
 def test_bench_bound_names_resolve():
@@ -740,7 +760,6 @@ def test_dp_step_shape_per_example_and_per_lot(sbm, monkeypatch):
                  "noisy_lot_gradient", "adam_step", "sample_lot"):
         counting(harness_mod, name)
     counting(dp_mod, "clip_gradient")
-    counting(model_mod, "_masked_labels")
     real_of = model_mod.Target.of.__func__
     monkeypatch.setattr(model_mod.Target, "of", classmethod(
         lambda cls, *args: calls.update(["Target.of"]) or real_of(cls, *args)))
@@ -748,11 +767,51 @@ def test_dp_step_shape_per_example_and_per_lot(sbm, monkeypatch):
     lots = cfg.steps_per_epoch
     assert lots == 2
     examples = lots * cfg.lot_size
-    assert calls["Target.of"] == calls["_masked_labels"] == 0
+    assert calls["Target.of"] == 0
     assert calls == Counter(
         forward=examples, masked_cross_entropy=examples, backward=examples,
         clip_gradient=examples, noisy_lot_gradient=lots, adam_step=lots,
         sample_lot=lots)
+
+
+def scatter_add_backward(trace, target, log_probs):
+    """backward with the target's rows scattered by a bincount over flat
+    indices, as before a target was a set of distinct nodes."""
+    params = trace.params
+    p = np.exp(log_probs, order="C")
+    p.ravel()[target.cells] -= 1.0
+    p /= target.ids.size
+    n, k = trace.logits.shape
+    flat = (target.ids[:, None] * k + np.arange(k)).ravel()
+    g1 = np.bincount(flat, weights=p.ravel(), minlength=n * k).reshape(n, k)
+    ag1 = spmm(trace.adj, g1)
+    grad = np.empty(params.flat.size)
+    split = params.w0.size
+    np.matmul(trace.hidden.T, ag1, out=grad[split:].reshape(params.w1.shape))
+    g0 = (ag1 @ params.w1.T) * trace.keep_scale * (trace.pre_hidden > 0.0)
+    np.matmul(trace.ax.T, g0, out=grad[:split].reshape(params.w0.shape))
+    return grad
+
+
+@pytest.mark.parametrize("kw, all_rows", [
+    (dict(kind="B", optimizer="adam-dp", sigma=2.0), False),
+    (dict(kind="C", optimizer="adam-dp", s=4, lot_size=2, sigma=2.0), True),
+], ids=["B", "C"])
+def test_gradient_rows_by_assignment_equal_the_scatter_add(sbm, kw, all_rows):
+    # kind B's target is the training nodes of the full graph, written row
+    # by row; kind C's covers every row of its subgraph in order
+    cfg = ExperimentConfig(max_epochs=2, seeds=(0,), **kw).finalized()
+    trainer = harness_mod._Trainer(sbm, cfg, seed=0, plan=plan_privacy(cfg))
+    trainer.close()
+    trainer.run_epoch(1)  # weights away from their initial values
+    for k, ex in enumerate(trainer.examples):
+        assert ex.target.all_rows is all_rows
+        trace = model_mod.forward(trainer.params, ex.adj, ax=ex.ax,
+                                  dropout=0.5, rng=Prng(k, streams.STREAM_DROPOUT))
+        log_probs = model_mod.masked_log_probs(trace.logits, ex.target)
+        assert np.array_equal(
+            model_mod.backward(trace, ex.target, log_probs=log_probs),
+            scatter_add_backward(trace, ex.target, log_probs))
 
 
 FINGERPRINT = """
@@ -1117,3 +1176,26 @@ def test_diverging_seeds_warn_of_nothing(sbm, tmp_path, optimizer, epochs,
     with open(tmp_path / "results.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["epsilon"]) for r in rows] == [record.seeds[0].epsilon] * 2
+
+
+@pytest.mark.parametrize("optimizer,max_epochs,epoch", [
+    ("adam-dp", 3, 1),  # the optimizer state, in epoch 1
+    ("sgd-dp", 3, 2),   # the loss, in epoch 2
+    ("sgd-dp", 1, 1),   # the test logits, after the last epoch
+])
+def test_failed_seed_rows_carry_its_epoch_and_time(sbm, tmp_path, optimizer,
+                                                  max_epochs, epoch):
+    # a failed seed reports the epoch its reason names and the time it ran,
+    # in results.json and results.csv alike
+    cfg = ExperimentConfig(kind="B", optimizer=optimizer, sigma=1e300,
+                           max_epochs=max_epochs, seeds=(0, 1))
+    emit_results(run_experiment(cfg, dataset=sbm), str(tmp_path))
+    seeds = json.loads((tmp_path / "results.json").read_text())["seeds"]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(seeds) == len(rows) == 2
+    for seed, row in zip(seeds, rows):
+        assert seed["failed"] and seed["reason"].endswith(f" at epoch {epoch}")
+        assert seed["epochs"] == int(row["epochs"]) == epoch
+        assert seed["seconds"] == float(row["seconds"]) > 0.0
+        assert row["f1_micro"] == row["f1_macro"] == ""

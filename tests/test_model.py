@@ -72,6 +72,12 @@ def test_init_deterministic():
     assert np.array_equal(a.w0, b.w0) and np.array_equal(a.w1, b.w1)
 
 
+@pytest.mark.parametrize("sizes", [(0, 4, 2), (6, 0, 2), (6, 4, 0)])
+def test_init_rejects_a_zero_sized_layer(sizes):
+    with pytest.raises(ValueError, match="zero-sized layer"):
+        init_params(*sizes, Prng(11))
+
+
 # ---- GcnParams: w0 and w1 are views of one flat vector ----
 
 def test_params_copy_their_inputs():
@@ -136,6 +142,13 @@ def test_forward_eval_ignores_dropout():
     assert np.array_equal(a.logits, b.logits)
 
 
+@pytest.mark.parametrize("dropout", [-0.1, 1.0, float("nan")])
+def test_forward_rejects_dropout_outside_unit_interval(dropout):
+    adj, feats, labels, params = tiny_setup(5, 3, 4, 2, 2)
+    with pytest.raises(ValueError, match="dropout probability"):
+        run_forward(params, adj, feats, dropout=dropout, rng=Prng(2))
+
+
 def test_forward_dropout_expectation():
     # E[dropout(h)] = h with inverted scaling; average 20000 draws, 3-sigma band
     adj, feats, labels, params = tiny_setup(4, 3, 6, 2, 5)
@@ -188,15 +201,15 @@ def test_ce_confident_correct():
     assert loss == pytest.approx(9.08e-5, rel=1e-2)
 
 
-def test_ce_duplicate_mask_rows_count_twice():
+def test_ce_counts_each_node_once_and_rejects_a_repeat():
     logits = np.array([[2.0, 0.0], [0.0, 0.0]])
     labels = np.array([0, 1])
     one = loss_of(logits, labels, np.array([0, 1]))
-    dup = loss_of(logits, labels, np.array([0, 0, 1]))
     a = loss_of(logits, labels, np.array([0]))
     b = loss_of(logits, labels, np.array([1]))
     assert one == pytest.approx((a + b) / 2.0, rel=1e-14)
-    assert dup == pytest.approx((2 * a + b) / 3.0, rel=1e-14)
+    with pytest.raises(ValueError, match="repeated node id"):
+        loss_of(logits, labels, np.array([0, 0, 1]))
 
 
 def test_ce_extreme_logits_finite():
@@ -270,8 +283,8 @@ def test_backward_single_node_binary():
 
 def test_backward_six_node_graph():
     adj, feats, labels, params = tiny_setup(6, 4, 5, 3, 13, extra_edges=8)
-    # in the second mask the loss counts node 0 twice, so must the gradient
-    for mask in (np.array([0, 2, 4, 5]), np.array([0, 0, 2, 4, 5])):
+    # the second mask lists the same nodes out of order
+    for mask in (np.array([0, 2, 4, 5]), np.array([5, 0, 4, 2])):
         analytic = analytic_gradient(params, adj, feats, labels, mask)
         numeric = numerical_gradient(params, adj, feats, labels, mask)
         assert grad_rel_err(analytic, numeric) < 1e-6, mask
@@ -367,14 +380,13 @@ SHARED_CASES = [
     (9, 7, 6, 3, 41, np.array([0, 2, 3, 5, 8])),
     (12, 5, 8, 4, 43, np.arange(12)),
     (6, 4, 5, 3, 47, np.array([4])),
-    # duplicates: the loss and the gradient count a repeated node once
-    # per mask entry
-    (8, 6, 4, 3, 53, np.array([1, 1, 6, 3, 6, 6])),
+    # distinct ids out of order: each is written to its own row
+    (8, 6, 4, 3, 53, np.array([6, 1, 3, 7, 0])),
 ]
 
 
 @pytest.mark.parametrize("n, d, h, k, seed, mask", SHARED_CASES,
-                         ids=["subset", "all", "single", "duplicates"])
+                         ids=["subset", "all", "single", "unsorted"])
 def test_forward_loss_and_backward_bitwise_against_reference(n, d, h, k, seed,
                                                              mask):
     adj, feats, labels, params = tiny_setup(n, d, h, k, seed, extra_edges=2 * n)
@@ -522,10 +534,13 @@ def test_target_of_checks_mask_and_labels():
     (np.array([2, -1]), "negative node id"),
     ([], "empty mask"),  # float64 when empty: still the empty-mask error
     (np.array([], dtype=bool), "empty mask"),
+    (np.array([0, 1, 2, 2]), "repeated node id"),
+    (np.array([4, 0, 4]), "repeated node id"),
 ])
 def test_target_ids_are_integers_not_cast(mask, message):
     # a cast would read the bool mask as ids [1, 0, 1, 0, 1] and the floats
-    # as [0, 3]; numpy would read id -1 as the last node
+    # as [0, 3]; numpy would read id -1 as the last node. A target is a set
+    # of nodes, as in mask_subgraph: the gradient writes each row once
     with pytest.raises(ValueError, match=message):
         Target.of(np.array([0, 1, 0, 1, 0]), mask, 2)
 
@@ -534,7 +549,7 @@ def test_target_ids_are_integers_not_cast(mask, message):
     (np.arange(3), True),
     (np.array([1, 0, 2]), False),
     (np.arange(2), False),
-    (np.array([0, 1, 2, 2]), False),
+    (np.array([1, 2]), False),
 ])
 def test_target_all_rows_only_for_every_row_in_order(mask, all_rows):
     assert Target.of(np.array([0, 1, 0]), mask, 2).all_rows is all_rows

@@ -62,6 +62,9 @@ def test_sample_without_replacement():
     assert np.array_equal(ids, np.unique(ids))  # sorted and distinct
     assert ids.min() >= 0 and ids.max() < 10
     assert r.sample_without_replacement(5, 0).size == 0
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=f"cannot sample {k} of 5"):
+            r.sample_without_replacement(5, k)
 
 
 @pytest.mark.parametrize("size", [None, 0, 1, 7, 592, (3, 4)],
