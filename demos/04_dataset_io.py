@@ -35,8 +35,9 @@ with tempfile.TemporaryDirectory(prefix="dpgcn-demo-") as tmp:
     for path in sorted(data_dir.iterdir()):
         print(f"  {path.name:<14} {path.stat().st_size:>7} bytes")
 
-    # Loading validates everything: index ranges, edge ordering, mask
-    # consistency, finite features. A reload is exactly equal.
+    # Loading checks the files (index ranges, edge ordering) and the
+    # Dataset checks itself when built (mask consistency, finite
+    # features). A reload is exactly equal.
     again = load_dataset(str(data_dir))
     assert np.array_equal(again.features, dataset.features)
     assert np.array_equal(again.graph.indices, dataset.graph.indices)

@@ -4,6 +4,7 @@ A dataset directory holds meta.json, edges.tsv (i<j, sorted), features.csv
 (dense) or features.tsv (sparse triplets), labels.tsv, and masks.tsv; all
 text is UTF-8 with LF newlines. Saving the same dataset twice produces
 byte-identical files. The graph is a graph.Graph: nothing here imports scipy.
+Every Dataset is checked when it is built, by dataclasses.replace too.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ class DatasetError(ValueError):
         self.code = code
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
 class Dataset:
+    """A graph with features, labels and masks, checked when it is built."""
+
     name: str
     graph: Graph           # symmetric 0/1 adjacency, no self-loops
     features: np.ndarray   # (num_nodes, feature_dim) float64, finite
-    labels: np.ndarray     # (num_nodes,) int64, -1 where unlabeled
-    train_nodes: np.ndarray
+    labels: np.ndarray     # (num_nodes,) integer, -1 where unlabeled
+    train_nodes: np.ndarray  # integer node ids; the three masks are disjoint
     val_nodes: np.ndarray
     test_nodes: np.ndarray
     num_classes: int
@@ -49,7 +52,7 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def validate(self) -> "Dataset":
+    def __post_init__(self):
         n = self.num_nodes
         if self.features.shape[0] != n:
             raise DatasetError("shape-mismatch",
@@ -63,12 +66,17 @@ class Dataset:
             raise DatasetError("bad-meta", "need at least two classes")
         if self.labels.shape != (n,):
             raise DatasetError("shape-mismatch", "labels must be per-node")
+        if self.labels.dtype.kind not in "iu":
+            raise DatasetError("label-out-of-range", "labels must be integers")
         if self.labels.max(initial=-1) >= self.num_classes:
             raise DatasetError("label-out-of-range",
                                "label id exceeds num_classes")
         if self.labels.min(initial=-1) < -1:  # -1 marks an unlabeled node
             raise DatasetError("label-out-of-range", "label id below -1")
-        masks = np.concatenate([self.train_nodes, self.val_nodes, self.test_nodes])
+        ids = (self.train_nodes, self.val_nodes, self.test_nodes)
+        if any(mask.dtype.kind not in "iu" for mask in ids):
+            raise DatasetError("index-out-of-range", "mask node ids must be integers")
+        masks = np.concatenate(ids, dtype=np.int64)
         if masks.size and (masks.min() < 0 or masks.max() >= n):
             raise DatasetError("index-out-of-range", "mask node id out of range")
         if np.unique(masks).size != masks.size:
@@ -77,7 +85,6 @@ class Dataset:
         if masks.size and (self.labels[masks] < 0).any():
             raise DatasetError("unlabeled-masked-node",
                                "every masked node needs a label")
-        return self
 
 
 def _check_feature_kind(kind) -> None:
@@ -118,7 +125,7 @@ def _read_rows(path: str, types: tuple) -> np.ndarray:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read and validate a dataset directory; fails loudly on inconsistency."""
+    """Read a dataset directory: the file checks are here, the rest Dataset's."""
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
         raise DatasetError("missing-file", f"meta.json not found in {path}")
@@ -183,12 +190,11 @@ def load_dataset(path: str) -> Dataset:
     if any((np.diff(ids) == 0).any() for ids in (train, val, test)):
         raise DatasetError("duplicate-row", "masks.tsv lists a node twice")
     return Dataset(meta["name"], build_graph(n, edges), features, labels,
-                   train, val, test, k, kind).validate()
+                   train, val, test, k, kind)
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write the directory format deterministically (stable bytes)."""
-    ds.validate()
     os.makedirs(path, exist_ok=True)
 
     def write(name, lines):
@@ -283,5 +289,4 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     return Dataset(spec.name, build_graph(n, edge_array), features, labels,
                    np.sort(perm[:n_train]),
                    np.sort(perm[n_train:n_train + n_val]),
-                   np.sort(perm[n_train + n_val:]),
-                   k).validate()
+                   np.sort(perm[n_train + n_val:]), k)

@@ -22,10 +22,27 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
 class Graph:
     """Symmetric 0/1 adjacency in CSR form: the neighbours of node i are
-    indices[indptr[i]:indptr[i + 1]], int64, sorted, without i or repeats."""
+    indices[indptr[i]:indptr[i + 1]], int64, sorted, without i or repeats.
+    A Graph is checked when it is built; a broken one is a ValueError."""
 
     indptr: np.ndarray
     indices: np.ndarray
+
+    def __post_init__(self):
+        indptr, indices = self.indptr, self.indices
+        if any(a.dtype != np.int64 or a.ndim != 1 for a in (indptr, indices)):
+            raise ValueError("indptr and indices must be 1-D int64 arrays")
+        n, degrees = indptr.size - 1, np.diff(indptr)
+        if n < 0 or indptr[0] != 0 or indptr[-1] != indices.size or (degrees < 0).any():
+            raise ValueError("indptr must rise from 0 to the number of indices")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError("neighbour id out of range")
+        rows = np.repeat(np.arange(n), degrees)
+        keys = rows * n + indices  # row-major, so rising exactly when each row is
+        if (np.diff(keys) <= 0).any() or (rows == indices).any():
+            raise ValueError("each row must rise strictly and hold no self-loop")
+        if not np.array_equal(np.sort(indices * n + rows), keys):
+            raise ValueError("adjacency is not symmetric")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -71,7 +71,7 @@ def _read_pickle(path: str):
 
 def convert(name: str, raw_dir: str, row_normalize: bool = True,
             val_count: int = 500) -> Dataset:
-    """Planetoid pickles -> validated Dataset with the full training split.
+    """Planetoid pickles -> Dataset with the full training split.
 
     val_count is the size of the fixed validation window starting right
     after the originally-labeled block; the upstream datasets use 500.
@@ -145,5 +145,5 @@ def convert(name: str, raw_dir: str, row_normalize: bool = True,
         name=name, graph=adjacency, features=features,
         labels=labels, train_nodes=train_nodes.astype(np.int64),
         val_nodes=val_nodes, test_nodes=test_nodes.astype(np.int64),
-        num_classes=onehot.shape[1], feature_kind="sparse").validate()
+        num_classes=onehot.shape[1], feature_kind="sparse")
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -333,8 +334,7 @@ def test_run_on_split_piece_without_val_or_test_exits_2(synth_dir, tmp_path,
 @pytest.mark.parametrize("train_fraction", [0.5, 1.0])
 def test_run_without_training_nodes_exits_2(synth_dir, tmp_path, capsys, kind,
                                             train_fraction):
-    ds = load_dataset(str(synth_dir))
-    ds.train_nodes = np.empty(0, dtype=np.int64)
+    ds = replace(load_dataset(str(synth_dir)), train_nodes=np.empty(0, dtype=np.int64))
     save_dataset(ds, str(tmp_path / "untrained"))
     config = tmp_path / "exp.cfg"
     config.write_text(f"dataset = {tmp_path / 'untrained'}\nkind = {kind}\n"

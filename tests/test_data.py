@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,48 +313,63 @@ def test_save_sparse_round_trip(tmp_path):
 
 
 def test_validate_rejects_bad_datasets():
+    # a Dataset checks itself when it is built, replace included
     base = small_dataset()
     with pytest.raises(DatasetError):
         Dataset(base.name, base.graph, base.features[:2], base.labels,
-                base.train_nodes, base.val_nodes, base.test_nodes, 2).validate()
+                base.train_nodes, base.val_nodes, base.test_nodes, 2)
     with pytest.raises(DatasetError) as exc:
         Dataset(base.name, base.graph, base.features, base.labels,
-                np.array([0, 1]), np.array([1]), base.test_nodes, 2).validate()
+                np.array([0, 1]), np.array([1]), base.test_nodes, 2)
     assert exc.value.code == "overlapping-masks"
     with pytest.raises(DatasetError) as exc:
         Dataset(base.name, base.graph, base.features, base.labels,
-                np.array([3]), base.val_nodes, base.test_nodes, 2).validate()
+                np.array([3]), base.val_nodes, base.test_nodes, 2)
     assert exc.value.code == "unlabeled-masked-node"
-    # what the loader's own checks refuse before it builds a Dataset
-    for change, code in ((dict(num_classes=1), "bad-meta"),
-                         (dict(labels=np.array([0, 1, 1, -1, 0])), "shape-mismatch"),
-                         (dict(labels=np.array([0, 1, 2, -1])), "label-out-of-range")):
+    for change, code in (
+            # what the loader's own checks refuse before it builds a Dataset
+            (dict(num_classes=1), "bad-meta"),
+            (dict(labels=np.array([0, 1, 1, -1, 0])), "shape-mismatch"),
+            (dict(labels=np.array([0, 1, 2, -1])), "label-out-of-range"),
+            # scored on its own training nodes; a training node listed twice
+            (dict(test_nodes=base.train_nodes), "overlapping-masks"),
+            (dict(train_nodes=np.array([0, 0])), "overlapping-masks"),
+            # labels and node ids are integers, never cast
+            (dict(labels=np.array([0.0, 1.0, 1.0, -1.0])), "label-out-of-range"),
+            (dict(train_nodes=np.array([0.0])), "index-out-of-range"),
+            (dict(val_nodes=np.array([False, True, False, False])), "index-out-of-range"),
+            (dict(test_nodes=np.array([2], dtype=object)), "index-out-of-range")):
         with pytest.raises(DatasetError) as exc:
-            replace(base, **change).validate()
+            replace(base, **change)
         assert exc.value.code == code
 
 
-def test_validate_rejects_labels_below_minus_one(tmp_path):
-    # node 3 is in no mask; saving skipped its label and the reload read -1
-    base = small_dataset()
-    ds = Dataset(base.name, base.graph, base.features, np.array([0, 1, 1, -5]),
-                 base.train_nodes, base.val_nodes, base.test_nodes, 2)
+def test_validate_rejects_labels_below_minus_one():
+    # -1 marks an unlabeled node; saving skips it and a reload reads -1
     with pytest.raises(DatasetError) as exc:
-        ds.validate()
+        replace(small_dataset(), labels=np.array([0, 1, 1, -5]))
     assert exc.value.code == "label-out-of-range"
-    with pytest.raises(DatasetError, match="label-out-of-range"):
-        save_dataset(ds, str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
 
 
-def test_save_rejects_unknown_feature_kind_before_writing(tmp_path):
-    # load_dataset reads only "dense" and "sparse", so save_dataset must not
-    # write a directory with any other kind
-    ds = replace(small_dataset(), feature_kind="csv")
+def test_save_rejects_unknown_feature_kind_before_writing():
+    # load_dataset reads only "dense" and "sparse", so no Dataset holds any
+    # other kind and save_dataset cannot write one
     with pytest.raises(DatasetError) as exc:
-        save_dataset(ds, str(tmp_path / "out"))
+        replace(small_dataset(), feature_kind="csv")
     assert str(exc.value) == "bad-meta: unknown feature_kind 'csv'"
-    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_accepts_other_integer_dtypes():
+    ds = replace(small_dataset(), labels=np.array([0, 1, 1, -1], dtype=np.int32),
+                 train_nodes=np.array([0], dtype=np.uint64))
+    assert ds.train_nodes.dtype == np.uint64
+
+
+def test_dataset_fields_cannot_be_assigned():
+    ds = small_dataset()
+    with pytest.raises(FrozenInstanceError):
+        ds.train_nodes = np.empty(0, dtype=np.int64)
+    assert np.array_equal(ds.train_nodes, [0])
 
 
 # ---- generate_synthetic ----

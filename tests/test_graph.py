@@ -6,8 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbours
-from dpgcn.graph import (build_graph, mask_subgraph, normalize_adjacency,
+from conftest import assert_graph_equal, neighbours
+from dpgcn.graph import (Graph, build_graph, mask_subgraph, normalize_adjacency,
                          random_partition, spmm)
 from dpgcn.rng import Prng
 
@@ -97,6 +97,44 @@ def test_build_accepts_integer_endpoints(edges):
 def test_build_sorted_rows():
     g = build_graph(5, [(0, 4), (0, 2), (0, 1), (3, 0)])
     assert np.array_equal(neighbours(g, 0), [1, 2, 3, 4])
+
+
+# ---- Graph ----
+
+def csr(indptr, indices, dtype=np.int64):
+    return Graph(np.array(indptr, dtype=np.int64), np.array(indices, dtype=dtype))
+
+
+@pytest.mark.parametrize("indptr, indices, dtype, message", [
+    ([1, 2], [0], np.int64, "indptr must rise"),
+    ([0, 2, 1, 2], [1, 0], np.int64, "indptr must rise"),
+    ([0, 1, 1], [1, 0], np.int64, "indptr must rise"),
+    ([], [], np.int64, "indptr must rise"),
+    ([0, 1, 2], [1, 0], np.int32, "1-D int64"),
+    ([0, 1, 2], [1.0, 0.0], np.float64, "1-D int64"),
+    ([[0, 1, 2]], [1, 0], np.int64, "1-D int64"),
+    # normalize_adjacency's divmod would wrap id 2 into the next row
+    ([0, 1, 2], [2, 0], np.int64, "out of range"),
+    ([0, 1, 2], [1, -1], np.int64, "out of range"),
+    ([0, 2, 3, 4], [2, 1, 0, 0], np.int64, "rise strictly"),
+    ([0, 2, 4], [1, 1, 0, 0], np.int64, "rise strictly"),
+    ([0, 1, 1], [0], np.int64, "self-loop"),
+    # backward's A^T = A would not hold
+    ([0, 1, 1], [1], np.int64, "not symmetric"),
+    ([0, 1, 2, 3], [1, 2, 0], np.int64, "not symmetric"),
+], ids=["starts-past-0", "falls", "ends-short", "no-rows", "int32", "float", "2-D",
+        "id-past-n", "negative-id", "unsorted-row", "repeated-neighbour",
+        "self-loop", "one-way-edge", "directed-cycle"])
+def test_graph_refuses_a_broken_contract(indptr, indices, dtype, message):
+    with pytest.raises(ValueError, match=message):
+        csr(indptr, indices, dtype)
+
+
+def test_graph_accepts_its_contract():
+    assert csr([0], []).shape == (0, 0)
+    assert csr([0, 0, 0], []).shape == (2, 2)
+    g = csr([0, 2, 3, 4], [1, 2, 0, 0])
+    assert_graph_equal(g, build_graph(3, [(0, 1), (0, 2)]))
 
 
 # ---- normalize_adjacency ----
